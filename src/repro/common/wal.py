@@ -20,6 +20,11 @@ resurrect the garbage.  Everything before the bad frame is intact by
 construction; everything after it is unreachable (frames are not
 self-synchronizing), which is exactly the torn-tail semantics of
 Kafka's recovery scan and BDB-JE's log cleaner.
+
+Files that are rewritten whole rather than appended to — compacted
+logs and snapshots — go through :func:`write_frames`: the frames land
+in a fresh temp file that is fsynced before the caller renames it into
+place, so a crash leaves either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import struct
 import zlib
 from typing import Iterator
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ChecksumError, ConfigurationError
 from repro.common.storage import Disk, LocalDisk
 
 _FRAME = struct.Struct("<II")   # crc32(payload), payload length
@@ -62,6 +67,32 @@ def scan_frames(data: bytes) -> tuple[list[tuple[int, bytes]], int]:
     return frames, position
 
 
+def _makedirs_parent(disk: Disk, path: str) -> None:
+    parent = path.rsplit("/", 1)[0] if "/" in path else ""
+    if parent:
+        disk.makedirs(parent)
+
+
+def write_frames(disk: Disk, path: str, payloads: list[bytes]) -> list[int]:
+    """Write ``payloads`` as frames to a fresh file at ``path`` and
+    fsync it; returns each frame's offset.
+
+    The file is opened ``"wb"``, so a leftover from an attempt that
+    died before its rename is discarded, never appended to.  Callers
+    ``disk.replace`` the file into place once this returns.
+    """
+    offsets = []
+    position = 0
+    for payload in payloads:
+        offsets.append(position)
+        position += FRAME_OVERHEAD + len(payload)
+    _makedirs_parent(disk, path)
+    with disk.open(path, "wb") as out:
+        out.write(b"".join(map(frame, payloads)))
+        out.fsync()
+    return offsets
+
+
 class WriteAheadLog:
     """Append / fsync / replay over one framed log file."""
 
@@ -72,13 +103,15 @@ class WriteAheadLog:
         if disk is None:
             disk = LocalDisk()
         self.disk = disk
-        parent = path.rsplit("/", 1)[0] if "/" in path else ""
-        if parent:
-            self.disk.makedirs(parent)
+        _makedirs_parent(disk, path)
         self.appends = 0
         self.fsyncs = 0
         self.recovered_frames = 0
         self.truncated_bytes = 0
+        #: the ``(offset, payload)`` frames the opening scan found, for
+        #: an owner that rebuilds an index from them without reading
+        #: the file again; the owner drops the list once it is indexed
+        self.recovered: list[tuple[int, bytes]] = []
         self._synced_end = 0
         self._end = 0
         self._file = self.disk.open(self.path, "ab+")
@@ -91,6 +124,7 @@ class WriteAheadLog:
         self._file.seek(0)
         data = self._file.read()
         frames, good_end = scan_frames(data)
+        self.recovered = frames
         self.recovered_frames = len(frames)
         self.truncated_bytes = len(data) - good_end
         if self.truncated_bytes:
@@ -110,6 +144,18 @@ class WriteAheadLog:
             reader.close()
         for _, payload in frames:
             yield payload
+
+    def read(self, offset: int) -> bytes:
+        """The payload of the frame at ``offset``, CRC-checked: raises
+        :class:`ChecksumError` if the frame is corrupt or cut short."""
+        self._file.seek(offset)
+        header = self._file.read(FRAME_OVERHEAD)
+        if len(header) == FRAME_OVERHEAD:
+            crc, length = _FRAME.unpack(header)
+            payload = self._file.read(length)
+            if len(payload) == length and zlib.crc32(payload) == crc:
+                return payload
+        raise ChecksumError(f"corrupt frame at offset {offset} of {self.path}")
 
     # -- append path ------------------------------------------------------
 

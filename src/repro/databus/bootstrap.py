@@ -22,10 +22,12 @@ Given a :class:`~repro.simnet.disk.Disk`, both storages are durable:
 every delivered event is framed into a log WAL and fsynced before the
 delivery counts (DESIGN.md §9), and :meth:`BootstrapServer.checkpoint`
 folds the snapshot plus its applied-SCN watermark into a snapshot file
-(temp-write + atomic replace) and compacts the log down to the rows
-beyond the watermark.  Recovery loads the checkpoint, then replays
-only log rows with SCN strictly above the watermark — a restarted
-bootstrap server never double-applies a window and never skips one.
+and compacts the log down to the rows beyond the watermark — each file
+rewritten whole into a fresh temp file by
+:func:`~repro.common.wal.write_frames`, then atomically replaced.
+Recovery loads the checkpoint, then replays only log rows with SCN
+strictly above the watermark — a restarted bootstrap server never
+double-applies a window and never skips one.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import struct
 from typing import Iterator
 
 from repro.common.errors import ConfigurationError
-from repro.common.wal import WriteAheadLog, frame, scan_frames
+from repro.common.wal import WriteAheadLog, scan_frames, write_frames
 from repro.databus.events import DatabusEvent, EventFilter
 from repro.simnet.disk import Disk
 from repro.sqlstore.binlog import ChangeKind
@@ -128,21 +130,16 @@ class BootstrapServer:
         if self._log_wal is None:
             return 0
         tmp = self.SNAPSHOT_NAME + ".tmp"
-        with self._disk.open(tmp, "wb") as f:
-            f.write(frame(_WATERMARK.pack(self._applied_through)))
-            for key in sorted(self._snapshot, key=repr):
-                f.write(frame(_encode_event(self._snapshot[key])))
-            f.fsync()
+        write_frames(self._disk, tmp, [
+            _WATERMARK.pack(self._applied_through),
+            *(_encode_event(self._snapshot[key])
+              for key in sorted(self._snapshot, key=repr))])
         self._disk.replace(tmp, self.SNAPSHOT_NAME)
         keep = [e for e in self._log if e.scn > self._applied_through]
         compacted = self._log_wal.size_bytes
         self._log_wal.close()
         tmp_log = self.LOG_NAME + ".compact"
-        new_wal = WriteAheadLog(tmp_log, disk=self._disk)
-        for event in keep:
-            new_wal.append(_encode_event(event))
-        new_wal.fsync()
-        new_wal.close()
+        write_frames(self._disk, tmp_log, [_encode_event(e) for e in keep])
         self._disk.replace(tmp_log, self.LOG_NAME)
         # safe: the old WAL is closed above, so a log-writer append that
         # interleaves with the compaction fsyncs raises before touching

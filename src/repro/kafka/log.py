@@ -42,39 +42,13 @@ plus the explicit id->position index the paper's design avoids.
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.common.clock import Clock, WallClock
 from repro.common.errors import ConfigurationError, OffsetOutOfRangeError
-from repro.kafka.message import MessageSet
+from repro.kafka.message import MessageSet, scan_valid_bytes
 from repro.simnet.disk import Disk, LocalDisk
-
-_MESSAGE_HEADER = struct.Struct("<II")   # length, crc (message framing)
-
-
-def scan_valid_bytes(data: bytes) -> int:
-    """Length of the valid CRC-framed prefix of a segment's bytes.
-
-    Walks ``[length][crc][attributes+payload]`` frames and stops at the
-    first incomplete or CRC-corrupt frame — the recovery truncation
-    point.  Everything past a bad frame is unreachable (frames are not
-    self-synchronizing), exactly the WAL torn-tail rule.
-    """
-    position = 0
-    total = len(data)
-    while position + _MESSAGE_HEADER.size <= total:
-        length, crc = _MESSAGE_HEADER.unpack_from(data, position)
-        end = position + _MESSAGE_HEADER.size + length
-        if length < 1 or end > total:
-            break
-        if zlib.crc32(data[position + _MESSAGE_HEADER.size:end]) != crc:
-            break
-        position = end
-    return position
-
 
 @dataclass
 class _Segment:

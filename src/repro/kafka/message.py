@@ -124,3 +124,24 @@ def iter_messages(data: bytes, base_offset: int = 0
         else:
             yield MessageAndOffset(message, next_offset)
         position = end
+
+
+def scan_valid_bytes(data: bytes) -> int:
+    """Length of the valid CRC-framed prefix of a segment's bytes.
+
+    Walks the frames like :func:`iter_messages` but never raises: it
+    stops at the first incomplete or CRC-corrupt frame — the recovery
+    truncation point.  Everything past a bad frame is unreachable
+    (frames are not self-synchronizing), exactly the WAL torn-tail rule.
+    """
+    position = 0
+    total = len(data)
+    while position + _HEADER.size <= total:
+        length, crc = _HEADER.unpack_from(data, position)
+        end = position + _HEADER.size + length
+        if length < 1 or end > total:
+            break
+        if zlib.crc32(data[position + _HEADER.size:end]) != crc:
+            break
+        position = end
+    return position

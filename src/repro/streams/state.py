@@ -10,7 +10,7 @@ Samza's state story (SNIPPETS.md §8) is reproduced structurally:
   itself never talks to Kafka (layering: state below, transport above);
 * durability of the local image is a **snapshot**: the full key/value
   map plus the changelog offset it covers, written as CRC-framed
-  records through :class:`~repro.common.wal.WriteAheadLog` to a temp
+  records by :func:`~repro.common.wal.write_frames` to a fresh temp
   file and atomically renamed into place.  Recovery loads the snapshot
   and replays the changelog *suffix* from the snapshot's offset — the
   log+snapshot bootstrap shape Databus already uses (DESIGN.md §9).
@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 from repro.common.errors import ConfigurationError
 from repro.common.storage import Disk
-from repro.common.wal import WriteAheadLog
+from repro.common.wal import WriteAheadLog, write_frames
 
 MutationHook = Callable[[str, object], None]
 
@@ -131,25 +131,20 @@ def write_snapshot(disk: Disk, path: str, store: KeyedStateStore,
                    changelog_offset: int) -> int:
     """Write the store image + covered changelog offset, atomically.
 
-    Frames go to ``path + ".tmp"`` through a :class:`WriteAheadLog`
-    (header frame, then one frame per key in sorted order), are fsynced
-    *before* the rename, and the rename is atomic — so a crash at any
-    point leaves either the old snapshot or the new one, never a torn
-    mix.  Returns the number of entries written.
+    Frames (a header, then one per key in sorted order) go to a fresh
+    ``path + ".tmp"`` through :func:`~repro.common.wal.write_frames`,
+    are fsynced *before* the rename, and the rename is atomic — so a
+    crash at any point leaves either the old snapshot or the new one,
+    never a torn mix.  Returns the number of entries written.
     """
     tmp_path = path + ".tmp"
-    if disk.exists(tmp_path):
-        disk.remove(tmp_path)  # a previous attempt died mid-write
-    wal = WriteAheadLog(tmp_path, disk=disk)
     header = {"version": _SNAPSHOT_VERSION, "store": store.name,
               "changelog_offset": changelog_offset}
-    wal.append(json.dumps(header, sort_keys=True).encode())
     entries = store.items()
-    for key, value in entries:
-        wal.append(json.dumps({"k": key, "v": value},
-                              sort_keys=True).encode())
-    wal.fsync()
-    wal.close()
+    write_frames(disk, tmp_path, [
+        json.dumps(header, sort_keys=True).encode(),
+        *(json.dumps({"k": key, "v": value}, sort_keys=True).encode()
+          for key, value in entries)])
     disk.replace(tmp_path, path)
     return len(entries)
 

@@ -127,11 +127,8 @@ class VoldemortCluster:
                     raise ConfigurationError(
                         "read-only stores load from real build artifacts; "
                         "use data_root, not a SimDisk")
-                # durable mode: every acked write is fsynced, so a
-                # SimDisk crash loses nothing that was acknowledged
                 return LogStructuredEngine(
-                    definition.name, sync_every_write=True,
-                    disk=self.node_disk(node_id))
+                    definition.name, disk=self.node_disk(node_id))
             if self.data_root is None:
                 raise ConfigurationError(
                     f"store {definition.name!r} needs on-disk storage; "

@@ -6,13 +6,10 @@ durable writes via an append-only log, fast point reads via an
 in-memory key index, crash recovery by log replay, CRC detection of
 torn writes, and compaction that drops superseded versions.
 
-On-disk record format (little-endian):
-
-    [crc32 : 4B][body_len : 4B][body]
-    body = [key_len : 4B][key]
-           [clock_count : 2B][(node_id : 8B, counter : 8B) * count]
-           [flags : 1B]                # bit 0: tombstone
-           [value_len : 4B][value]
+On disk, ``data.log`` is a :class:`~repro.common.wal.WriteAheadLog`:
+each record is one ``[crc32][len][payload]`` frame (see
+:mod:`repro.common.wal`) whose payload is the keyed ``Versioned`` body
+of :func:`repro.voldemort.versioned.encode_versioned`.
 
 The in-memory index maps key -> list of (clock, offset, length,
 tombstone) so the multi-version merge never touches disk; only value
@@ -22,69 +19,18 @@ reads do.
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from typing import Iterator
 
 from repro.common.errors import ChecksumError, KeyNotFoundError
 from repro.common.vectorclock import VectorClock
+from repro.common.wal import FRAME_OVERHEAD, WriteAheadLog, write_frames
 from repro.simnet.disk import Disk, LocalDisk
 from repro.voldemort.engines.base import StorageEngine
-from repro.voldemort.versioned import Versioned
-
-_HEADER = struct.Struct("<II")
-_U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
-_CLOCK_ENTRY = struct.Struct("<QQ")
-_FLAG_TOMBSTONE = 0x01
-
-
-def _encode_clock(clock: VectorClock) -> bytes:
-    entries = clock.entries
-    out = bytearray(_U16.pack(len(entries)))
-    for node, counter in sorted(entries.items()):
-        out.extend(_CLOCK_ENTRY.pack(node, counter))
-    return bytes(out)
-
-
-def _decode_clock(data: bytes, offset: int) -> tuple[VectorClock, int]:
-    (count,) = _U16.unpack_from(data, offset)
-    offset += _U16.size
-    entries = {}
-    for _ in range(count):
-        node, counter = _CLOCK_ENTRY.unpack_from(data, offset)
-        offset += _CLOCK_ENTRY.size
-        entries[node] = counter
-    return VectorClock(entries), offset
-
-
-def _encode_record(key: bytes, versioned: Versioned) -> bytes:
-    value = versioned.value if versioned.value is not None else b""
-    flags = _FLAG_TOMBSTONE if versioned.is_tombstone else 0
-    body = bytearray()
-    body.extend(_U32.pack(len(key)))
-    body.extend(key)
-    body.extend(_encode_clock(versioned.clock))
-    body.append(flags)
-    body.extend(_U32.pack(len(value)))
-    body.extend(value)
-    return _HEADER.pack(zlib.crc32(bytes(body)), len(body)) + bytes(body)
-
-
-def _decode_body(body: bytes) -> tuple[bytes, Versioned]:
-    (key_len,) = _U32.unpack_from(body, 0)
-    offset = _U32.size
-    key = body[offset:offset + key_len]
-    offset += key_len
-    clock, offset = _decode_clock(body, offset)
-    flags = body[offset]
-    offset += 1
-    (value_len,) = _U32.unpack_from(body, offset)
-    offset += _U32.size
-    value = body[offset:offset + value_len]
-    if flags & _FLAG_TOMBSTONE:
-        return key, Versioned(None, clock)
-    return key, Versioned(bytes(value), clock)
+from repro.voldemort.versioned import (
+    Versioned,
+    decode_versioned,
+    encode_versioned,
+)
 
 
 class _IndexEntry:
@@ -104,43 +50,27 @@ class LogStructuredEngine(StorageEngine):
     name = "log-structured"
     LOG_NAME = "data.log"
 
-    def __init__(self, directory: str, sync_every_write: bool = False,
-                 disk: Disk | None = None):
+    def __init__(self, directory: str, disk: Disk | None = None):
         self.directory = directory
         self.disk = disk if disk is not None else LocalDisk()
         self.disk.makedirs(directory)
         self._path = os.path.join(directory, self.LOG_NAME)
-        self._index: dict[bytes, list[_IndexEntry]] = {}
-        self._log = self.disk.open(self._path, "ab+")
-        self._sync = sync_every_write
-        self.live_bytes = 0
         self.torn_bytes_truncated = 0
-        self._recover()
+        self._open_log()
 
     # -- recovery ---------------------------------------------------------
 
-    def _recover(self) -> None:
-        """Rebuild the index by replaying the log; truncate a torn tail."""
-        self._log.seek(0)
-        good_end = 0
-        while True:
-            header = self._log.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                break
-            crc, body_len = _HEADER.unpack(header)
-            body = self._log.read(body_len)
-            if len(body) < body_len or zlib.crc32(body) != crc:
-                break  # torn write at crash; discard the tail
-            key, versioned = _decode_body(body)
-            self._index_put(key, versioned, good_end, _HEADER.size + body_len)
-            good_end += _HEADER.size + body_len
-        self._log.seek(0, os.SEEK_END)
-        tail = self._log.tell() - good_end
-        if tail > 0:
-            self.torn_bytes_truncated += tail
-            self._log.truncate(good_end)
-            self._log.fsync()  # the torn tail must not outlive a re-crash
-        self._log.seek(0, os.SEEK_END)
+    def _open_log(self) -> None:
+        """Open the log (the WAL truncates a torn tail) and rebuild the
+        index from the frames its recovery scan found."""
+        self._log = WriteAheadLog(self._path, disk=self.disk)
+        self.torn_bytes_truncated += self._log.truncated_bytes
+        self._index: dict[bytes, list[_IndexEntry]] = {}
+        for offset, payload in self._log.recovered:
+            key, versioned = decode_versioned(payload)
+            self._index_put(key, versioned, offset,
+                            FRAME_OVERHEAD + len(payload))
+        self._log.recovered = []  # indexed: only offsets stay in memory
 
     def _index_put(self, key: bytes, versioned: Versioned, offset: int,
                    length: int) -> None:
@@ -156,7 +86,6 @@ class LogStructuredEngine(StorageEngine):
         survivors.append(_IndexEntry(versioned.clock, offset, length,
                                      versioned.is_tombstone))
         self._index[key] = survivors
-        self.live_bytes += length
 
     # -- StorageEngine interface ------------------------------------------
 
@@ -170,13 +99,7 @@ class LogStructuredEngine(StorageEngine):
         return out
 
     def _read_value(self, key: bytes, entry: _IndexEntry) -> bytes:
-        self._log.seek(entry.offset)
-        raw = self._log.read(entry.length)
-        crc, body_len = _HEADER.unpack_from(raw, 0)
-        body = raw[_HEADER.size:_HEADER.size + body_len]
-        if zlib.crc32(body) != crc:
-            raise ChecksumError(f"corrupt record for key {key!r}")
-        stored_key, versioned = _decode_body(body)
+        stored_key, versioned = decode_versioned(self._log.read(entry.offset))
         if stored_key != key:
             raise ChecksumError(f"index pointed {key!r} at record for {stored_key!r}")
         return versioned.value or b""
@@ -186,22 +109,16 @@ class LogStructuredEngine(StorageEngine):
         existing_versions = [Versioned(None, e.clock)
                              for e in self._index.get(key, [])]
         self.merge_version(existing_versions, versioned)  # raises if obsolete
-        record = _encode_record(key, versioned)
-        self._log.seek(0, os.SEEK_END)
-        offset = self._log.tell()
-        self._log.write(record)
-        if self._sync:
-            # ack ⇒ fsync ⇒ recoverable (DESIGN.md §9)
-            self._log.fsync()
-        else:
-            self._log.flush()
-        entry = _IndexEntry(versioned.clock, offset, len(record),
+        payload = encode_versioned(key, versioned)
+        offset = self._log.append(payload)
+        self._log.fsync()  # ack ⇒ fsync ⇒ recoverable (DESIGN.md §9)
+        entry = _IndexEntry(versioned.clock, offset,
+                            FRAME_OVERHEAD + len(payload),
                             versioned.is_tombstone)
         survivors = [e for e in self._index.get(key, [])
                      if e.clock.concurrent_with(versioned.clock)]
         survivors.append(entry)
         self._index[key] = survivors
-        self.live_bytes += len(record)
 
     def record_span(self, key: bytes) -> tuple[int, int]:
         """(offset, length) of the newest live on-disk record for
@@ -225,8 +142,7 @@ class LogStructuredEngine(StorageEngine):
     # -- maintenance ---------------------------------------------------------
 
     def log_size_bytes(self) -> int:
-        self._log.seek(0, os.SEEK_END)
-        return self._log.tell()
+        return self._log.size_bytes
 
     def compact(self) -> int:
         """Rewrite only live versions; returns bytes reclaimed.
@@ -240,33 +156,20 @@ class LogStructuredEngine(StorageEngine):
         before = self.log_size_bytes()
         compact_path = self._path + ".compact"
         frozen = {key: tuple(entries) for key, entries in self._index.items()}
-        new_index: dict[bytes, list[_IndexEntry]] = {}
-        with self.disk.open(compact_path, "wb") as out:
-            offset = 0
-            for key, entries in frozen.items():
-                fresh: list[_IndexEntry] = []
-                for entry in entries:
-                    if entry.tombstone:
-                        continue  # compaction drops tombstones
-                    value = self._read_value(key, entry)
-                    record = _encode_record(key, Versioned(value, entry.clock))
-                    out.write(record)
-                    fresh.append(_IndexEntry(entry.clock, offset,
-                                             len(record), False))
-                    offset += len(record)
-                if fresh:
-                    new_index[key] = fresh
-            out.fsync()
+        write_frames(self.disk, compact_path, [
+            encode_versioned(key, Versioned(self._read_value(key, entry),
+                                            entry.clock))
+            for key, entries in frozen.items()
+            for entry in entries
+            if not entry.tombstone  # compaction drops tombstones
+        ])
         if {k: tuple(v) for k, v in self._index.items()} != frozen:
             self.disk.remove(compact_path)
             return 0
         self._log.close()
         self.disk.replace(compact_path, self._path)
-        self._log = self.disk.open(self._path, "ab+")
-        self._index = new_index
+        self._open_log()
         return before - self.log_size_bytes()
 
     def close(self) -> None:
-        if not self._log.closed:
-            self._log.flush()
-            self._log.close()
+        self._log.close()

@@ -26,9 +26,12 @@ from repro.common.errors import (
 )
 from repro.common.wal import WriteAheadLog
 from repro.voldemort.engines.base import StorageEngine
-from repro.voldemort.engines.logstructured import _decode_body, _encode_record
 from repro.voldemort.transforms import TRANSFORM_REGISTRY
-from repro.voldemort.versioned import Versioned
+from repro.voldemort.versioned import (
+    Versioned,
+    decode_versioned,
+    encode_versioned,
+)
 
 _HINT_STORED = 0x00
 _HINT_DELIVERED = 0x01
@@ -50,7 +53,7 @@ def _encode_hint(seq: int, hint: Hint) -> bytes:
     store = hint.store.encode()
     return (bytes([_HINT_STORED])
             + _HINT_HEADER.pack(seq, hint.destination_node, len(store))
-            + store + _encode_record(hint.key, hint.versioned))
+            + store + encode_versioned(hint.key, hint.versioned))
 
 
 def _decode_hint(payload: bytes) -> tuple[int, Hint]:
@@ -58,10 +61,7 @@ def _decode_hint(payload: bytes) -> tuple[int, Hint]:
     offset = 1 + _HINT_HEADER.size
     store = payload[offset:offset + store_len].decode()
     offset += store_len
-    # the hint record reuses the engine's CRC-framed record format;
-    # skip its [crc][len] header to reach the body
-    body = payload[offset + 8:]
-    key, versioned = _decode_body(body)
+    key, versioned = decode_versioned(payload[offset:])
     return seq, Hint(store, key, versioned, destination)
 
 

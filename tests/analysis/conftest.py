@@ -1,10 +1,32 @@
 """Shared helpers for the repro-lint test suite."""
 
 import textwrap
+import time
+from typing import NamedTuple
+
+import pytest
 
 from repro.analysis import Analyzer, all_rules
 from repro.analysis.callgraph import Project
-from repro.analysis.core import FileContext
+from repro.analysis.core import FileContext, LintReport
+from tests.analysis.test_lint_clean_support import REPO_ROOT, SRC_REPRO
+
+
+class FullScan(NamedTuple):
+    analyzer: Analyzer
+    report: LintReport
+    seconds: float
+
+
+@pytest.fixture(scope="session")
+def full_repo_scan() -> FullScan:
+    """One timed, uncached scan of ``src/repro`` with every rule,
+    shared by the lint gate and the budget test so tier-1 pays for the
+    full-repo scan once."""
+    analyzer = Analyzer(root=REPO_ROOT)
+    started = time.perf_counter()
+    report = analyzer.run([SRC_REPRO])
+    return FullScan(analyzer, report, time.perf_counter() - started)
 
 
 def lint(source: str, rule: str | None = None,

@@ -10,19 +10,14 @@ rules takes ~2-4 s on a laptop) so the test is a tripwire for
 accidental quadratic behaviour, not a benchmark.
 """
 
-import time
-
 from repro.analysis import Analyzer
 from tests.analysis.test_lint_clean_support import REPO_ROOT, SRC_REPRO
 
 BUDGET_SECONDS = 12.0
 
 
-def test_full_repo_run_stays_under_budget():
-    analyzer = Analyzer(root=REPO_ROOT)
-    started = time.perf_counter()
-    report = analyzer.run([SRC_REPRO])
-    elapsed = time.perf_counter() - started
+def test_full_repo_run_stays_under_budget(full_repo_scan):
+    analyzer, report, elapsed = full_repo_scan
     assert report.files_scanned > 80
     # the budget covers the atomicity pass, not a reduced rule set
     assert {"atomicity-violation", "non-atomic-multi-write",

@@ -20,9 +20,8 @@ def _load_baseline() -> Baseline:
     return Baseline.load(path) if path.exists() else Baseline()
 
 
-def test_src_repro_has_no_new_findings():
-    analyzer = Analyzer(root=REPO_ROOT)
-    report = analyzer.run([SRC_REPRO])
+def test_src_repro_has_no_new_findings(full_repo_scan):
+    report = full_repo_scan.report
     assert report.files_scanned > 80  # the scan really covered the tree
     assert not report.parse_errors, report.parse_errors
     new, _ = _load_baseline().split(report.findings)

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.wal import FRAME_OVERHEAD, WriteAheadLog, frame, scan_frames
+from repro.common.errors import ChecksumError
+from repro.common.wal import (
+    FRAME_OVERHEAD,
+    WriteAheadLog,
+    frame,
+    scan_frames,
+    write_frames,
+)
 from repro.simnet.disk import SimDisk
 
 
@@ -125,6 +132,64 @@ class TestRecovery:
         recovered.fsync()
         assert offset == FRAME_OVERHEAD + 1
         assert list(recovered.replay()) == [b"a", b"c"]
+
+
+class TestRead:
+    def test_read_returns_payload_at_offset(self, disk):
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        wal.append(b"first")
+        offset = wal.append(b"second")
+        wal.fsync()
+        assert wal.read(offset) == b"second"
+        wal.append(b"third")  # reads do not disturb the append position
+        assert list(wal.replay()) == [b"first", b"second", b"third"]
+
+    def test_read_raises_on_flipped_bit(self, disk):
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        wal.append(b"first")
+        offset = wal.append(b"second")
+        wal.fsync()
+        disk.flip_bit("node", "x.wal", offset=offset + FRAME_OVERHEAD + 2,
+                      bit=3)
+        with pytest.raises(ChecksumError):
+            wal.read(offset)
+        assert wal.read(0) == b"first"
+
+    def test_recovery_keeps_the_scanned_frames(self, disk):
+        wal = WriteAheadLog("node/x.wal", disk=disk)
+        offsets = [wal.append(p) for p in (b"a", b"bb", b"ccc")]
+        wal.fsync()
+        reopened = WriteAheadLog("node/x.wal", disk=disk)
+        assert reopened.recovered == list(zip(offsets, [b"a", b"bb", b"ccc"]))
+
+
+class TestWriteFrames:
+    def test_offsets_match_scan(self, disk):
+        payloads = [b"alpha", b"", b"gamma" * 10]
+        offsets = write_frames(disk, "node/snap.tmp", payloads)
+        with disk.open("node/snap.tmp", "rb") as f:
+            frames, good_end = scan_frames(f.read())
+        assert offsets == [offset for offset, _ in frames]
+        assert [payload for _, payload in frames] == payloads
+        assert good_end == disk.getsize("node/snap.tmp")
+
+    def test_leftover_file_is_discarded(self, disk):
+        # a synced leftover from an attempt that died before its rename
+        leftover = WriteAheadLog("node/snap.tmp", disk=disk)
+        leftover.append(b"stale")
+        leftover.fsync()
+        leftover.close()
+        write_frames(disk, "node/snap.tmp", [b"fresh"])
+        with disk.open("node/snap.tmp", "rb") as f:
+            frames, _ = scan_frames(f.read())
+        assert [payload for _, payload in frames] == [b"fresh"]
+
+    def test_file_survives_crash_right_after(self, disk):
+        write_frames(disk, "node/snap.tmp", [b"one", b"two"])
+        assert disk.crash_node("node") == 0
+        with disk.open("node/snap.tmp", "rb") as f:
+            frames, _ = scan_frames(f.read())
+        assert [payload for _, payload in frames] == [b"one", b"two"]
 
 
 class TestLocalDiskWal:

@@ -123,3 +123,36 @@ class TestCheckpoint:
         server = BootstrapServer()
         server.on_events([event(1)])
         assert server.checkpoint() == 0
+
+    def test_checkpoint_discards_a_stale_compaction_file(self, disk):
+        """A checkpoint that died between fsyncing the compacted log and
+        renaming it leaves a synced leftover; the retried checkpoint
+        must start that file afresh, not append after the leftover."""
+        scope = disk.scope("bootstrap-1")
+        server = BootstrapServer("bootstrap-1", disk=scope)
+        server.on_events([event(1, key=(1,))])
+        server.on_events([event(2, key=(2,))])
+        server.on_events([event(3, key=(3,), end=False)])  # window open
+
+        class PowerCut(Exception):
+            pass
+
+        real_replace = scope.replace
+
+        def cut_before_log_swap(src, dst):
+            if src.endswith(".compact"):
+                raise PowerCut(src)
+            real_replace(src, dst)
+
+        scope.replace = cut_before_log_swap
+        with pytest.raises(PowerCut):
+            server.checkpoint()
+        disk.crash_node("bootstrap-1")
+
+        make_server(disk).checkpoint()
+        recovered = make_server(disk)
+        assert [e.scn for e in recovered.full_replay(2)[0]] == [3]
+        recovered.on_events([event(3, key=(4,), end=True)])  # window closes
+        replayed, _ = recovered.full_replay(2)
+        assert [e.scn for e in replayed] == [3, 3]
+        assert recovered.high_watermark == 3

@@ -32,6 +32,7 @@ from repro.voldemort import (
     Versioned,
     VoldemortCluster,
 )
+from repro.voldemort.versioned import encode_versioned
 
 from tests.espresso.conftest import ARTIST_SCHEMA, MUSIC
 from repro.espresso import EspressoCluster
@@ -102,9 +103,8 @@ def run_scenario(seed):
         # an in-flight (never acked) record on the Voldemort victim,
         # destined to be torn mid-frame by the armed fault
         engine = voldemort.server_for(1).engine("chaos")
-        engine._sync = False
-        engine.put(b"in-flight", Versioned.initial(b"never-acked", 0))
-        engine._sync = True
+        engine._log.append(encode_versioned(
+            b"in-flight", Versioned.initial(b"never-acked", 0)))
 
     plan = FaultPlan(clock, disk, seed=seed)
 

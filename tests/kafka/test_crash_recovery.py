@@ -5,8 +5,13 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import ChecksumError
 from repro.kafka.broker import KafkaCluster
-from repro.kafka.log import PartitionLog, scan_valid_bytes
-from repro.kafka.message import Message, MessageSet, iter_messages
+from repro.kafka.log import PartitionLog
+from repro.kafka.message import (
+    Message,
+    MessageSet,
+    iter_messages,
+    scan_valid_bytes,
+)
 from repro.simnet.disk import SimDisk
 
 

@@ -11,7 +11,9 @@ from repro.voldemort import (
     Versioned,
     VoldemortCluster,
 )
+from repro.voldemort.engines import LogStructuredEngine
 from repro.voldemort.server import Hint
+from repro.voldemort.versioned import encode_versioned
 
 
 @pytest.fixture
@@ -69,14 +71,24 @@ class TestEngineRecovery:
         assert recovered[0].value == b"v2"
         assert recovered[0].clock.entries == expected_clock.entries
 
+    def test_engine_acks_only_after_fsync(self, disk):
+        """The engine itself fsyncs before a put returns, whatever Disk
+        it runs on — no cluster wiring has to opt in."""
+        engine = LogStructuredEngine("s", disk=disk.scope("solo"))
+        engine.put(b"k", Versioned.initial(b"acked", 0))
+        assert disk.crash_node("solo") == 0
+
+        reopened = LogStructuredEngine("s", disk=disk.scope("solo"))
+        assert reopened.get(b"k")[0].value == b"acked"
+
     def test_torn_tail_never_yields_partial_record(self, cluster, disk):
         routed = RoutedStore(cluster, "s")
         routed.put(b"stable", Versioned.initial(b"stable-value", 0))
         victim = routed.replica_nodes(b"stable")[0]
         engine = cluster.server_for(victim).engine("s")
-        # bypass the quorum to write an unsynced record on one node
-        engine._sync = False
-        engine.put(b"at-risk", Versioned.initial(b"gone", 0))
+        # bypass the quorum and the fsync: stage an unsynced record
+        engine._log.append(encode_versioned(b"at-risk",
+                                            Versioned.initial(b"gone", 0)))
         disk.arm_torn_write(cluster.node_name(victim),
                             path="s/data.log", keep_bytes=9)
         cluster.kill_node(victim)
