@@ -54,8 +54,11 @@ def test_capture_throughput(benchmark):
     }, "relay serializes changes to a source-independent binary format")
 
 
-def test_serve_from_scn_tail_latency(benchmark):
-    _, relay = loaded_relay(3000)
+@pytest.mark.parametrize("transactions", [3000, 100_000])
+def test_serve_from_scn_tail_latency(benchmark, transactions):
+    # two buffer sizes: the SCN index makes a tail poll cost what it
+    # returns, so the per-request figure should not grow with the buffer
+    _, relay = loaded_relay(transactions)
     head = relay.newest_scn()
 
     def tail_reads():

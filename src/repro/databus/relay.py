@@ -7,7 +7,8 @@ the Databus clients."
 
 The relay provides:
 
-* very low default serving latency (an in-memory suffix scan);
+* very low default serving latency (a bisect on the SCN-ordered
+  buffer, then a read of only the events returned);
 * bounded buffering — old windows are evicted once capacity (bytes or
   events) is exceeded, after which lagging clients get
   :class:`SCNGoneError` and must bootstrap;
@@ -23,7 +24,8 @@ per partition" (§IV.B); :class:`Relay` therefore manages named
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Callable
 
 from repro.common.errors import ConfigurationError, SCNGoneError
@@ -35,12 +37,19 @@ from repro.sqlstore.database import SqlDatabase
 
 DEFAULT_BUFFER = "default"
 
+_scn_of = attrgetter("scn")
+
 
 class EventBuffer:
     """A circular in-memory buffer of complete transaction windows.
 
     Eviction is window-at-a-time so a window is never half-retained —
     partial transactions would break timeline consistency for readers.
+
+    Events live in a list in SCN order (``append_window`` enforces it),
+    so every SCN lookup is a bisect.  Eviction advances ``_head``; the
+    evicted prefix is deleted once it is more than half the list, which
+    keeps eviction amortized O(1) per event.
     """
 
     def __init__(self, max_events: int = 100_000,
@@ -49,7 +58,8 @@ class EventBuffer:
             raise ConfigurationError("buffer capacity must be positive")
         self.max_events = max_events
         self.max_bytes = max_bytes
-        self._events: deque[DatabusEvent] = deque()
+        self._events: list[DatabusEvent] = []
+        self._head = 0              # index of the oldest retained event
         self._bytes = 0
         self._evicted_through = 0   # highest SCN evicted
         self.events_appended = 0
@@ -57,18 +67,22 @@ class EventBuffer:
 
     @property
     def oldest_scn(self) -> int | None:
-        return self._events[0].scn if self._events else None
+        if self._head == len(self._events):
+            return None
+        return self._events[self._head].scn
 
     @property
     def newest_scn(self) -> int | None:
-        return self._events[-1].scn if self._events else None
+        if self._head == len(self._events):
+            return None
+        return self._events[-1].scn
 
     @property
     def size_bytes(self) -> int:
         return self._bytes
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._events) - self._head
 
     def append_window(self, events: list[DatabusEvent]) -> None:
         """Append one transaction's events; evict old windows if full."""
@@ -83,21 +97,25 @@ class EventBuffer:
         if newest is not None and scn <= newest:
             raise ConfigurationError(
                 f"windows must arrive in SCN order: {scn} after {newest}")
-        for event in events:
-            self._events.append(event)
-            self._bytes += event.size_bytes
+        self._events.extend(events)
+        self._bytes += sum(event.size_bytes for event in events)
         self.events_appended += len(events)
         self.windows_appended += 1
         self._evict()
 
     def _evict(self) -> None:
-        while (len(self._events) > self.max_events
+        events = self._events
+        while (len(events) - self._head > self.max_events
                or self._bytes > self.max_bytes):
-            victim_scn = self._events[0].scn
-            while self._events and self._events[0].scn == victim_scn:
-                evicted = self._events.popleft()
-                self._bytes -= evicted.size_bytes
+            victim_scn = events[self._head].scn
+            while (self._head < len(events)
+                   and events[self._head].scn == victim_scn):
+                self._bytes -= events[self._head].size_bytes
+                self._head += 1
             self._evicted_through = victim_scn
+        if self._head * 2 > len(events):
+            del events[:self._head]
+            self._head = 0
 
     @property
     def evicted_through(self) -> int:
@@ -109,7 +127,8 @@ class EventBuffer:
     def contains_scn(self, scn: int) -> bool:
         """Whether the buffer still holds the window committed at
         ``scn`` — the blame engine's relay-stage interrogation."""
-        return any(event.scn == scn for event in self._events)
+        i = bisect_left(self._events, scn, self._head, key=_scn_of)
+        return i < len(self._events) and self._events[i].scn == scn
 
     def drop_window(self, scn: int) -> int:
         """Silently remove the whole window committed at ``scn``.
@@ -122,12 +141,11 @@ class EventBuffer:
         any error, exactly the silent-loss failure mode a consistency
         auditor exists to catch.  Returns the number of events removed.
         """
-        removed = [event for event in self._events if event.scn == scn]
-        if removed:
-            self._events = deque(
-                event for event in self._events if event.scn != scn)
-            self._bytes -= sum(event.size_bytes for event in removed)
-        return len(removed)
+        lo = bisect_left(self._events, scn, self._head, key=_scn_of)
+        hi = bisect_right(self._events, scn, lo, key=_scn_of)
+        self._bytes -= sum(event.size_bytes for event in self._events[lo:hi])
+        del self._events[lo:hi]
+        return hi - lo
 
     def events_since(self, scn: int, event_filter: EventFilter | None = None,
                      max_events: int = 10_000) -> list[DatabusEvent]:
@@ -142,11 +160,12 @@ class EventBuffer:
             raise SCNGoneError(
                 f"SCN {scn} evicted; oldest retained window starts at "
                 f"{self.oldest_scn}", oldest_retained=self.oldest_scn)
+        events = self._events
+        start = bisect_right(events, scn, self._head, key=_scn_of)
         out: list[DatabusEvent] = []
         delivered_through: int | None = None
-        for event in self._events:
-            if event.scn <= scn:
-                continue
+        for i in range(start, len(events)):
+            event = events[i]
             if len(out) >= max_events and event.scn != delivered_through:
                 break  # stop only at a window boundary
             if event_filter is None or event_filter(event):

@@ -58,17 +58,35 @@ __all__ = ["Disk", "DiskFile", "LocalDisk", "DiskScope", "SimDisk"]
 
 
 class _FileState:
-    """One simulated file: current bytes plus the last-fsynced image."""
+    """One simulated file: current bytes plus the last-fsynced image.
 
-    __slots__ = ("data", "synced")
+    ``dirty_from`` is the lowest offset changed since the last fsync:
+    ``data`` and ``synced`` agree below it, so an fsync only has to copy
+    ``data[dirty_from:]``, and everything from it on is at risk.  An
+    append leaves it where it is; an in-place write, a truncate or a
+    ``"wb"`` reopen lowers it.
+    """
+
+    __slots__ = ("data", "synced", "dirty_from")
 
     def __init__(self):
-        self.data = bytearray()   # what readers (and the page cache) see
-        self.synced = b""         # what survives a crash
+        self.data = bytearray()     # what readers (and the page cache) see
+        self.synced = bytearray()   # what survives a crash
+        self.dirty_from = 0
 
     @property
     def unsynced_bytes(self) -> int:
-        return max(0, len(self.data) - len(self.synced))
+        return len(self.data) - self.dirty_from
+
+    def mark_dirty(self, offset: int) -> None:
+        if offset < self.dirty_from:
+            self.dirty_from = offset
+
+    def sync(self) -> None:
+        """Make the live bytes the durable image, copying only the
+        dirty range."""
+        self.synced[self.dirty_from:] = self.data[self.dirty_from:]
+        self.dirty_from = len(self.data)
 
 
 class _SimFile(DiskFile):
@@ -110,6 +128,7 @@ class _SimFile(DiskFile):
         if self._pos == len(state):
             state.extend(data)
         else:
+            self._state.mark_dirty(self._pos)
             if end > len(state):
                 state.extend(b"\x00" * (end - len(state)))
             state[self._pos:end] = data
@@ -138,6 +157,7 @@ class _SimFile(DiskFile):
         if not self._writable:
             raise io.UnsupportedOperation("file not open for writing")
         del self._state.data[size:]
+        self._state.mark_dirty(size)
         self._pos = min(self._pos, size)
         self._disk._record("truncate", self._path, "", size)
         return size
@@ -149,7 +169,7 @@ class _SimFile(DiskFile):
 
     def fsync(self) -> None:
         self._check_open()
-        self._state.synced = bytes(self._state.data)
+        self._state.sync()
         self._disk._record("fsync", self._path, "", len(self._state.synced))
 
     def close(self) -> None:
@@ -260,6 +280,7 @@ class SimDisk(Disk):
             self._dirs.add(parent)
         if mode == "wb":
             state.data.clear()
+            state.dirty_from = 0
         handle = _SimFile(
             self, path, state,
             readable=mode in ("rb", "ab+", "rb+"),
@@ -300,7 +321,7 @@ class SimDisk(Disk):
         for handle in self._handles.pop(dst, []):
             handle.close()
         state = self._files.pop(src)
-        state.synced = bytes(state.data)
+        state.sync()
         self._files[dst] = state
         self._handles[dst] = self._handles.pop(src, [])
         for handle in self._handles[dst]:
@@ -351,9 +372,7 @@ class SimDisk(Disk):
             bit = self.rng.randrange(8)
         state.data[offset] ^= 1 << bit
         if offset < len(state.synced):
-            synced = bytearray(state.synced)
-            synced[offset] ^= 1 << bit
-            state.synced = bytes(synced)
+            state.synced[offset] ^= 1 << bit
         self._record("flip", full, f"bit={bit}", offset)
         return offset
 
@@ -379,14 +398,21 @@ class SimDisk(Disk):
         lost = 0
         for path in self._node_paths(node):
             state = self._files[path]
-            tail = bytes(state.data[len(state.synced):])
+            start = state.dirty_from
+            tail = bytes(state.data[start:])
             state.data = bytearray(state.synced)
+            state.dirty_from = len(state.synced)
             keep = b""
             if path == torn_target and tail:
                 cut = torn_keep if torn_keep is not None \
                     else self.rng.randrange(1, len(tail) + 1)
                 keep = tail[:min(cut, len(tail))]
-                state.data.extend(keep)
+                # the kept prefix lands over the synced image where the
+                # dirty range began; for an appended tail that is a
+                # plain extension
+                if keep:
+                    state.data[start:start + len(keep)] = keep
+                    state.mark_dirty(start)
                 self._record("torn", path, "", len(keep))
             lost += len(tail) - len(keep)
             for handle in self._handles.pop(path, []):

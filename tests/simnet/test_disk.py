@@ -88,6 +88,43 @@ class TestCrashSemantics:
         with disk.open("b/f", "rb") as g:
             assert g.read() == b"bbb"
 
+    def test_wb_rewrite_of_synced_file_is_at_risk(self, disk):
+        f = disk.open("n/f", "ab")
+        f.write(b"a" * 100)
+        f.fsync()
+        g = disk.open("n/f", "wb")
+        g.write(b"b" * 100)
+        assert disk.unsynced_bytes("n") == 100
+        assert disk.crash_node("n") == 100
+        assert disk.bytes_lost == 100
+        with disk.open("n/f", "rb") as h:
+            assert h.read() == b"a" * 100
+
+    def test_in_place_rewrite_of_synced_file_is_at_risk(self, disk):
+        f = disk.open("n/f", "ab")
+        f.write(b"a" * 100)
+        f.fsync()
+        g = disk.open("n/f", "rb+")
+        g.write(b"b" * 100)
+        assert disk.unsynced_bytes("n") == 100
+        assert disk.crash_node("n") == 100
+        assert disk.bytes_lost == 100
+        with disk.open("n/f", "rb") as h:
+            assert h.read() == b"a" * 100
+
+    def test_fsync_after_in_place_write_is_durable(self, disk):
+        f = disk.open("n/f", "ab")
+        f.write(b"0123456789")
+        f.fsync()
+        g = disk.open("n/f", "rb+")
+        g.seek(3)
+        g.write(b"XY")
+        g.fsync()
+        assert disk.unsynced_bytes("n") == 0
+        disk.crash_node("n")
+        with disk.open("n/f", "rb") as h:
+            assert h.read() == b"012XY56789"
+
     def test_fsynced_then_truncated_then_crash(self, disk):
         # a durable truncation (truncate + fsync) must survive the crash
         f = disk.open("n/f", "ab+")
@@ -110,6 +147,21 @@ class TestTornWrites:
         disk.crash_node("n")
         with disk.open("n/f", "rb") as g:
             assert g.read() == b"durable|uns"
+        assert disk.unsynced_bytes("n") == 3
+
+    def test_torn_rewrite_lands_over_synced_image(self, disk):
+        f = disk.open("n/f", "ab")
+        f.write(b"a" * 10)
+        f.fsync()
+        g = disk.open("n/f", "rb+")
+        g.seek(4)
+        g.write(b"b" * 4)
+        disk.arm_torn_write("n", path="f", keep_bytes=2)
+        assert disk.crash_node("n") == 4   # 6 at risk, 2 kept
+        with disk.open("n/f", "rb") as h:
+            assert h.read() == b"aaaabbaaaa"
+        # the kept prefix was never fsynced: it is still at risk
+        assert disk.unsynced_bytes("n") == 6
 
     def test_torn_write_random_cut_is_seeded(self):
         def run(seed):
