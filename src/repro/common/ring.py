@@ -87,6 +87,10 @@ class HashRing:
         if missing:
             raise ConfigurationError(f"partitions with no owner: {sorted(missing)[:8]}...")
         self._owner = owner
+        # (partition, replication factor) -> replica node ids.  A ring
+        # is never mutated (rebalancing builds a new one), so a
+        # placement computed once stays right for this object's life.
+        self._placements: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- basic lookups ---------------------------------------------------
 
@@ -128,6 +132,20 @@ class HashRing:
             raise ConfigurationError(
                 f"could not place {replication_factor} replicas on distinct nodes")
         return chosen
+
+    def replica_node_ids(self, partition: int,
+                         replication_factor: int) -> tuple[int, ...]:
+        """Owners of :meth:`replica_partitions`, memoized per ring.
+
+        The tuple is shared between callers; copy it before mutating.
+        """
+        placement = self._placements.get((partition, replication_factor))
+        if placement is None:
+            placement = tuple(
+                self._owner[p]
+                for p in self.replica_partitions(partition, replication_factor))
+            self._placements[(partition, replication_factor)] = placement
+        return placement
 
     def replica_nodes_for_key(self, key: bytes, replication_factor: int) -> list[Node]:
         partition = self.partition_for_key(key)

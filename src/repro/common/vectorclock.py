@@ -12,9 +12,12 @@ new clocks, which keeps versions safe to share between simulated nodes.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from repro.common.errors import ConfigurationError
+
+
+V = TypeVar("V")
 
 
 class Occurred(Enum):
@@ -24,6 +27,12 @@ class Occurred(Enum):
     AFTER = "after"          # self > other
     EQUAL = "equal"          # identical
     CONCURRENT = "concurrent"  # neither dominates
+
+
+_BEFORE = Occurred.BEFORE
+_AFTER = Occurred.AFTER
+_EQUAL = Occurred.EQUAL
+_CONCURRENT = Occurred.CONCURRENT
 
 
 class VectorClock:
@@ -43,6 +52,12 @@ class VectorClock:
     @property
     def entries(self) -> dict[int, int]:
         return dict(self._entries)
+
+    @property
+    def weight(self) -> int:
+        """Sum of all counters: the total number of writes this clock
+        has seen, which last-writer-wins resolution ranks by."""
+        return sum(counter for _, counter in self._entries)
 
     def counter_of(self, node_id: int) -> int:
         for node, counter in self._entries:
@@ -64,22 +79,40 @@ class VectorClock:
         return VectorClock(entries)
 
     def compare(self, other: "VectorClock") -> Occurred:
-        self_bigger = False
-        other_bigger = False
-        nodes = {node for node, _ in self._entries} | {node for node, _ in other._entries}
-        for node in sorted(nodes):
-            mine, theirs = self.counter_of(node), other.counter_of(node)
-            if mine > theirs:
+        """One merge walk over both node-sorted entry tuples.
+
+        Counters are always positive, so a node present on one side
+        only makes that side bigger.
+        """
+        mine, theirs = self._entries, other._entries
+        if mine == theirs:
+            return _EQUAL
+        self_bigger = other_bigger = False
+        i = j = 0
+        mine_len, theirs_len = len(mine), len(theirs)
+        while i < mine_len and j < theirs_len:
+            node, counter = mine[i]
+            other_node, other_counter = theirs[j]
+            if node == other_node:
+                if counter > other_counter:
+                    self_bigger = True
+                elif other_counter > counter:
+                    other_bigger = True
+                i += 1
+                j += 1
+            elif node < other_node:
                 self_bigger = True
-            elif theirs > mine:
+                i += 1
+            else:
                 other_bigger = True
-        if self_bigger and other_bigger:
-            return Occurred.CONCURRENT
+                j += 1
+        if i < mine_len:
+            self_bigger = True
+        if j < theirs_len:
+            other_bigger = True
         if self_bigger:
-            return Occurred.AFTER
-        if other_bigger:
-            return Occurred.BEFORE
-        return Occurred.EQUAL
+            return _CONCURRENT if other_bigger else _AFTER
+        return _BEFORE if other_bigger else _EQUAL
 
     def dominates(self, other: "VectorClock") -> bool:
         return self.compare(other) is Occurred.AFTER
@@ -102,29 +135,33 @@ class VectorClock:
         return f"VectorClock({{{body}}})"
 
 
-def prune_obsolete(clocks_and_values: Iterable[tuple[VectorClock, object]]
-                   ) -> list[tuple[VectorClock, object]]:
-    """Drop every version dominated by another in the collection.
+def prune_obsolete(versions: Iterable[V]) -> list[V]:
+    """The frontier of ``versions``: every one no other version dominates.
 
-    This is the read-path reconciliation step: after collecting versions
-    from R replicas, only the frontier of concurrent versions survives;
-    anything causally older is discarded (and repaired — see
-    :mod:`repro.voldemort.repair`).
+    Each item carries its clock as ``.clock`` (a Voldemort ``Versioned``
+    does).  Survivors keep their input order; of several equal clocks
+    the first wins.  This is the read-path reconciliation step: after
+    collecting versions from R replicas, only the frontier of concurrent
+    versions survives; anything causally older is discarded (and
+    repaired by ``RoutedStore._read_repair`` in
+    :mod:`repro.voldemort.routing`).
+
+    The frontier is built incrementally and is an antichain at every
+    step, so one ``compare`` per (incoming, kept) pair decides both
+    directions: an incoming version that supersedes some kept ones
+    cannot also be dominated by (or equal to) another kept one.
     """
-    versions = list(clocks_and_values)
-    survivors: list[tuple[VectorClock, object]] = []
-    for i, (clock, value) in enumerate(versions):
-        obsolete = False
-        for j, (other, _) in enumerate(versions):
-            if i == j:
-                continue
-            relation = clock.compare(other)
-            if relation is Occurred.BEFORE:
-                obsolete = True
-                break
-            if relation is Occurred.EQUAL and j < i:
-                obsolete = True  # deduplicate identical versions
-                break
-        if not obsolete:
-            survivors.append((clock, value))
-    return survivors
+    frontier: list[V] = []
+    for incoming in versions:
+        clock = incoming.clock
+        survivors: list[V] = []
+        for kept in frontier:
+            relation = clock.compare(kept.clock)
+            if relation is _CONCURRENT:
+                survivors.append(kept)
+            elif relation is not _AFTER:
+                break  # dominated by, or a duplicate of, a kept version
+        else:
+            survivors.append(incoming)
+            frontier = survivors
+    return frontier

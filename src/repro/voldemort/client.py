@@ -31,7 +31,7 @@ def last_writer_wins(versions: list[Versioned]) -> Versioned:
     """A simple resolver: highest total clock weight wins, ties broken
     deterministically by value."""
     return max(versions,
-               key=lambda v: (sum(v.clock.entries.values()), v.value or b""))
+               key=lambda v: (v.clock.weight, v.value or b""))
 
 
 class StoreClient:

@@ -73,6 +73,7 @@ class VoldemortCluster:
         self.stores: dict[str, StoreDefinition] = {}
         self.data_root = data_root
         self.disk = disk
+        self._node_names: dict[int, str] = {}
         self.servers: dict[int, VoldemortServer] = {
             node_id: VoldemortServer(node_id, self)
             for node_id in self.ring.nodes
@@ -105,7 +106,11 @@ class VoldemortCluster:
     # -- helpers ---------------------------------------------------------------
 
     def node_name(self, node_id: int) -> str:
-        return f"node-{node_id}"
+        """The node's network address; formatted once per node id."""
+        name = self._node_names.get(node_id)
+        if name is None:
+            name = self._node_names[node_id] = f"node-{node_id}"
+        return name
 
     def server_for(self, node_id: int):
         return self.servers[node_id]

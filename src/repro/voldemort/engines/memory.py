@@ -18,10 +18,10 @@ class InMemoryStorageEngine(StorageEngine):
         self._data: dict[bytes, list[Versioned]] = {}
 
     def get(self, key: bytes) -> list[Versioned]:
-        versions = [v for v in self._data.get(key, []) if not v.is_tombstone]
+        versions = [v for v in self._data.get(key, ()) if not v.is_tombstone]
         if not versions:
             raise KeyNotFoundError(repr(key))
-        return list(versions)
+        return versions
 
     def get_including_tombstones(self, key: bytes) -> list[Versioned]:
         """All stored versions, tombstones included (repair needs these)."""

@@ -22,6 +22,7 @@ how a parallel quorum behaves.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from repro.common.errors import (
     DeadlineExceededError,
@@ -41,7 +42,7 @@ from repro.common.overload import (
     HedgedCall,
 )
 from repro.common.resilience import CircuitBreaker, Deadline, RetryPolicy
-from repro.common.vectorclock import Occurred
+from repro.common.vectorclock import prune_obsolete
 from repro.voldemort.cluster import StoreDefinition, VoldemortCluster
 from repro.voldemort.failure_detector import FailureDetector
 from repro.voldemort.server import Hint
@@ -110,17 +111,22 @@ class RoutedStore:
 
         Consults the admin service's redirect table when one is
         attached, so requests for a partition that is mid-migration
-        land on its new destination immediately.
+        land on its new destination immediately.  Otherwise the ring's
+        memoized placement answers; the caller gets its own list.
         """
         ring = self.cluster.ring
         partition = ring.partition_for_key(key)
-        if self.definition.required_zones > 0:
+        definition = self.definition
+        if definition.required_zones > 0:
             partitions = ring.zone_aware_replica_partitions(
-                partition, self.definition.replication_factor,
-                self.definition.required_zones)
+                partition, definition.replication_factor,
+                definition.required_zones)
+        elif self.admin is None or not self.admin.redirects:
+            return list(ring.replica_node_ids(
+                partition, definition.replication_factor))
         else:
             partitions = ring.replica_partitions(
-                partition, self.definition.replication_factor)
+                partition, definition.replication_factor)
         if self.admin is None:
             return [ring.node_for_partition(p).node_id for p in partitions]
         out = []
@@ -245,7 +251,7 @@ class RoutedStore:
         self.metrics.histogram("get").record(operation_latency)
         if not responses:
             raise KeyNotFoundError(repr(key))
-        frontier = self._resolve_frontier(responses)
+        frontier = prune_obsolete(chain.from_iterable(responses.values()))
         if self.enable_read_repair and transform is None:
             self._read_repair(key, frontier, responses, missing_nodes,
                               deadline)
@@ -329,23 +335,6 @@ class RoutedStore:
             self.metrics.counter("get.hedged").increment()
         return winner, (effective, versions)
 
-    @staticmethod
-    def _resolve_frontier(responses: dict[int, list[Versioned]]
-                          ) -> list[Versioned]:
-        merged: list[Versioned] = []
-        for versions in responses.values():
-            for incoming in versions:
-                dominated = False
-                merged = [kept for kept in merged
-                          if not _supersedes(incoming, kept)]
-                for kept in merged:
-                    if _supersedes(kept, incoming) or kept.clock == incoming.clock:
-                        dominated = True
-                        break
-                if not dominated:
-                    merged.append(incoming)
-        return merged
-
     def _read_repair(self, key: bytes, frontier: list[Versioned],
                      responses: dict[int, list[Versioned]],
                      missing_nodes: list[int],
@@ -357,6 +346,8 @@ class RoutedStore:
         """
         stale: list[int] = list(missing_nodes)
         for node_id, versions in responses.items():
+            if versions == frontier:
+                continue  # the common case: the replica is up to date
             clocks = {v.clock for v in versions}
             if any(f.clock not in clocks for f in frontier):
                 stale.append(node_id)
@@ -396,27 +387,64 @@ class RoutedStore:
 
     def get_all(self, keys: list[bytes]
                 ) -> tuple[dict[bytes, list[Versioned]], float]:
-        """Batched quorum reads: one request per node, not per key.
+        """Batched quorum reads: one request per node per round, not
+        one per key.
 
         Each key is assigned to its first R available replicas; each
         node receives a single ``get_batch`` for all its assigned keys.
-        Returns (key -> version frontier, simulated latency); keys
-        absent everywhere are omitted.  Keys that cannot reach R
-        replicas raise, matching :meth:`get`.
+        A key left short of R by a failed or shedding node goes, like
+        :meth:`get`, to its next untried replicas in a further batched
+        round; rounds run one after another, so the simulated latency
+        is the sum of each round's slowest answer.  Returns (key ->
+        version frontier, simulated latency); keys absent everywhere
+        are omitted.  Keys that cannot reach R replicas raise,
+        matching :meth:`get`.
         """
         if self.admission is not None:
             self.admission.admit(PRIORITY_LIVE, what="get_all")
         required = self.definition.required_reads
-        per_node: dict[int, list[bytes]] = {}
-        assignments: dict[bytes, list[int]] = {}
-        for key in keys:
-            replicas = self._ordered_by_availability(self.replica_nodes(key))
-            chosen = replicas[:required]
-            assignments[key] = chosen
-            for node_id in chosen:
-                per_node.setdefault(node_id, []).append(key)
+        # each key's replicas not yet asked, in preference order
+        untried: dict[bytes, list[int]] = {
+            key: self._ordered_by_availability(self.replica_nodes(key))
+            for key in keys}
         responses: dict[bytes, dict[int, list[Versioned]]] = {}
         answered: dict[bytes, int] = {key: 0 for key in keys}
+        failed: set[int] = set()
+        operation_latency = 0.0
+        while True:
+            per_node: dict[int, list[bytes]] = {}
+            for key, replicas in untried.items():
+                need = required - answered[key]
+                if need <= 0:
+                    continue
+                if failed:
+                    replicas[:] = [n for n in replicas if n not in failed]
+                for node_id in replicas[:need]:
+                    per_node.setdefault(node_id, []).append(key)
+                del replicas[:need]
+            if not per_node:
+                break
+            latencies = self._get_batch_round(per_node, answered,
+                                              responses, failed)
+            if latencies:
+                operation_latency += max(latencies)
+        short = [key for key, count in answered.items() if count < required]
+        if short:
+            raise InsufficientOperationalNodesError(
+                f"{len(short)} keys reached fewer than {required} replicas",
+                required=required, achieved=min(answered[k] for k in short))
+        self.metrics.histogram("get_all").record(operation_latency)
+        return ({key: prune_obsolete(chain.from_iterable(by_node.values()))
+                 for key, by_node in responses.items()},
+                operation_latency)
+
+    def _get_batch_round(self, per_node: dict[int, list[bytes]],
+                         answered: dict[bytes, int],
+                         responses: dict[bytes, dict[int, list[Versioned]]],
+                         failed: set[int]) -> list[float]:
+        """One ``get_batch`` per node; counts answers per key, files the
+        versions found, adds nodes that did not answer to ``failed`` and
+        returns the answering nodes' latencies."""
         latencies: list[float] = []
         for node_id, node_keys in per_node.items():
             server = self.cluster.server_for(node_id)
@@ -429,24 +457,17 @@ class RoutedStore:
             except ServerOverloadedError:
                 self.detector.record_success(node_id)
                 self.metrics.counter("get_all.replica_shed").increment()
+                failed.add(node_id)
                 continue
             except NodeUnavailableError:
                 self.detector.record_failure(node_id)
+                failed.add(node_id)
                 continue
             for key in node_keys:
                 answered[key] += 1
                 if key in found:
                     responses.setdefault(key, {})[node_id] = found[key]
-        short = [key for key, count in answered.items() if count < required]
-        if short:
-            raise InsufficientOperationalNodesError(
-                f"{len(short)} keys reached fewer than {required} replicas",
-                required=required, achieved=min(answered[k] for k in short))
-        operation_latency = max(latencies) if latencies else 0.0
-        self.metrics.histogram("get_all").record(operation_latency)
-        return ({key: self._resolve_frontier(by_node)
-                 for key, by_node in responses.items()},
-                operation_latency)
+        return latencies
 
     # -- writes ---------------------------------------------------------------------
 
@@ -609,24 +630,16 @@ class RoutedStore:
             return 10 ** 6
         return zone.proximity.index(node_zone) + 1
 
-    def _queue_depth(self, node_id: int) -> int:
-        """The replica's simulated server-queue depth (0 when the node
-        has no bounded queue configured) — the load signal for
-        least-loaded replica selection."""
-        return self.cluster.network.queue_depth(self.cluster.node_name(node_id))
-
     def _ordered_by_availability(self, replicas: list[int]) -> list[int]:
         """Available replicas first, nearest zone first, least-loaded
-        (shallowest server queue) within a zone, preserving ring order
-        as the final tie-break."""
-        indexed = list(enumerate(replicas))
-        indexed.sort(key=lambda pair: (
-            not self.detector.is_available(pair[1]),
-            self._zone_distance(pair[1]),
-            self._queue_depth(pair[1]),
-            pair[0]))
-        return [node_id for _, node_id in indexed]
-
-
-def _supersedes(a: Versioned, b: Versioned) -> bool:
-    return a.clock.compare(b.clock) is Occurred.AFTER
+        (shallowest simulated server queue; 0 for a node without one)
+        within a zone, preserving ring order as the final tie-break."""
+        is_available = self.detector.is_available
+        zone_distance = self._zone_distance
+        queue_depth = self.cluster.network.queue_depth
+        node_name = self.cluster.node_name
+        keyed = sorted([
+            (not is_available(node_id), zone_distance(node_id),
+             queue_depth(node_name(node_id)), position, node_id)
+            for position, node_id in enumerate(replicas)])
+        return [entry[-1] for entry in keyed]

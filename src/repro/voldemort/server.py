@@ -136,7 +136,7 @@ class VoldemortServer:
             fn = TRANSFORM_REGISTRY.get_transform(name)
             try:
                 current = self.engine(store).get(key)
-                base = max(current, key=lambda v: sum(v.clock.entries.values()))
+                base = max(current, key=lambda v: v.clock.weight)
                 new_value = fn(base.value, *args)
             except KeyError:
                 new_value = fn(None, *args)

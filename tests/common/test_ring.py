@@ -120,3 +120,28 @@ def test_expansion_moves_minimal_partitions(key, nodes):
                 == ring.master_for_key(key).node_id)
     else:
         assert rebalanced.master_for_key(key).node_id == 99
+
+
+def test_memoized_placement_matches_the_ring_walk():
+    ring = make_ring(nodes=5, partitions=20)
+    for partition in range(20):
+        for rf in (1, 2, 3):
+            walk = tuple(ring.node_for_partition(p).node_id
+                         for p in ring.replica_partitions(partition, rf))
+            placement = ring.replica_node_ids(partition, rf)
+            assert placement == walk
+            # memoized: the second lookup returns the stored tuple
+            assert ring.replica_node_ids(partition, rf) is placement
+
+
+def test_moved_partition_is_placed_afresh():
+    ring = make_ring(nodes=3, partitions=6)
+    before = ring.replica_node_ids(0, 2)
+    target = next(n for n in ring.nodes if n not in before)
+    moved = ring.with_partition_moved(0, target)
+    assert moved.replica_node_ids(0, 2)[0] == target
+    assert ring.replica_node_ids(0, 2) == before
+    for partition in range(6):
+        assert moved.replica_node_ids(partition, 2) == tuple(
+            moved.node_for_partition(p).node_id
+            for p in moved.replica_partitions(partition, 2))

@@ -46,6 +46,15 @@ def test_put_get_roundtrip():
     assert latency > 0
 
 
+def test_replica_list_is_the_callers_own():
+    routed = RoutedStore(make_cluster(), "test")
+    first = routed.replica_nodes(b"key")
+    expected = list(first)
+    first.reverse()
+    first.append(99)
+    assert routed.replica_nodes(b"key") == expected
+
+
 def test_get_missing_raises_keynotfound():
     cluster = make_cluster()
     routed = RoutedStore(cluster, "test")

@@ -130,6 +130,38 @@ class TestGetAll:
         found, _ = routed.get_all(keys)
         assert set(found) == set(keys)
 
+    def test_batch_retries_a_crashed_replica_not_yet_marked_down(self, cluster):
+        routed = RoutedStore(cluster, "s")
+        keys = [b"key-%d" % i for i in range(10)]
+        for key in keys:
+            routed.put(key, Versioned.initial(b"v:" + key, 0))
+        crashed = routed.replica_nodes(keys[0])[0]
+        cluster.network.failures.crash(cluster.node_name(crashed))
+        # the detector has seen no failure yet, so the first round still
+        # sends to the crashed node; get moves on to the next replica
+        assert routed.detector.is_available(crashed)
+        assert routed.get(keys[0])[0][0].value == b"v:" + keys[0]
+        assert routed.detector.is_available(crashed)
+        found, latency = routed.get_all(keys)
+        assert set(found) == set(keys)
+        for key in keys:
+            assert [v.value for v in found[key]] == [b"v:" + key]
+        assert latency > 0
+
+    def test_retry_round_latency_adds_to_the_first(self, cluster):
+        routed = RoutedStore(cluster, "s")
+        key = b"key-0"
+        routed.put(key, Versioned.initial(b"v", 0))
+        crashed = routed.replica_nodes(key)[0]
+        cluster.network.failures.crash(cluster.node_name(crashed))
+        cluster.network.start_trace()
+        _, latency = routed.get_all([key])
+        # one answering replica per round: two sequential hops
+        answered = [event[-1] for event in cluster.network.trace
+                    if event[0] == "invoke" and event[4] == "ok"]
+        assert len(answered) == 2
+        assert latency == answered[0] + answered[1]
+
     def test_empty_batch(self, cluster):
         routed = RoutedStore(cluster, "s")
         found, latency = routed.get_all([])
