@@ -43,7 +43,8 @@ from typing import Iterable, Iterator
 from repro.common.errors import ConfigurationError
 from repro.common.metrics import MetricsRegistry
 
-_PRAGMA = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\-\s]+)")
+#: A suppression pragma; group 1 is the comma-separated rule names.
+PRAGMA = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\-\s]+)")
 
 #: Transport/availability error names from ``repro.common.errors`` that
 #: several rules treat as "the network failed" signals.
@@ -203,7 +204,7 @@ class FileContext:
                   source=source, tree=tree, lines=source.splitlines())
         ctx.imports = ImportMap(tree)
         for lineno, text in enumerate(ctx.lines, start=1):
-            match = _PRAGMA.search(text)
+            match = PRAGMA.search(text)
             if match:
                 rules = {part.strip() for part in match.group(1).split(",")}
                 ctx.suppressions[lineno] = {r for r in rules if r}

@@ -16,40 +16,37 @@ after the contract it enforces:
   back off (or use ``call_with_retries``);
 * :mod:`.retry_amplification` — ``retry-amplification``: no retrying
   context nested inside another (budgets multiply under overload);
-* :mod:`.deadline` — ``deadline-dropped``: a function that accepts a
-  ``Deadline`` must consult it before network work;
 * :mod:`.durability` — ``durability-unsynced-ack``: every path from a
   WAL/disk write to a return, ack, or watermark advance passes an
   fsync (flow-sensitive typestate; acked ⇒ fsynced ⇒ recoverable);
 * :mod:`.breaker` — ``breaker-unrecorded-outcome``: an admitted
   ``CircuitBreaker.allow()`` reaches ``record_success`` or
   ``record_failure`` on every normal path;
-* :mod:`.staleread` — ``stale-read-across-rpc``: no branching on
-  shared state read before a network call without a re-read;
 * :mod:`.layering` — ``layering-contract``: imports follow the
   committed layer map in :mod:`repro.analysis.architecture`;
 * :mod:`.unbounded_rpc` — ``unbounded-rpc``: a held deadline bounds
-  every transitive RPC (interprocedural, call-chain findings);
+  every RPC the function reaches, its own and transitive ones
+  (interprocedural, call-chain findings);
 * :mod:`.escaped_error` — ``escaped-internal-error``: only taxonomy
   errors escape the package-exported public API (interprocedural);
 * :mod:`.atomicity` — ``atomicity-violation``,
   ``non-atomic-multi-write``, ``yield-in-atomic-section``: multi-step
-  shared-state updates must not straddle a transitive yield point
-  (RPC/sleep/fsync anywhere down the call chain) without
+  shared-state updates must not straddle a yield point (RPC, sleep
+  or fsync, in the function or anywhere down the call chain) without
   revalidation, a journal record, or an ``@atomic_section`` proof.
 
-The four flow rules run on the control-flow graphs built by
-:mod:`repro.analysis.flow` (via :mod:`repro.analysis.protocol` for
-the typestate pair) rather than on per-line syntax; the last two are
-:class:`~repro.analysis.core.ProjectRule`\\ s consuming the repo-wide
-call graph (:mod:`repro.analysis.callgraph`) and effect summaries
-(:mod:`repro.analysis.summaries`).
+That is fourteen rules.  The durability and breaker rules run on the
+control-flow graphs built by :mod:`repro.analysis.flow` (via
+:mod:`repro.analysis.protocol`) rather than on per-line syntax; the
+last three modules hold :class:`~repro.analysis.core.ProjectRule`\\ s
+consuming the repo-wide call graph (:mod:`repro.analysis.callgraph`)
+and effect summaries (:mod:`repro.analysis.summaries`), and the
+atomicity rules walk the CFG as well.
 """
 
 from repro.analysis.rules import (  # noqa: F401
     atomicity,
     breaker,
-    deadline,
     durability,
     escaped_error,
     layering,
@@ -57,7 +54,6 @@ from repro.analysis.rules import (  # noqa: F401
     randomness,
     retry_amplification,
     retry_backoff,
-    staleread,
     swallowed,
     unbounded_rpc,
     wallclock,

@@ -9,14 +9,19 @@ effect-summary layer (:mod:`repro.analysis.summaries`) computes the
 transitive yield-point set per function; the three rules here turn it
 into convictions:
 
-* ``atomicity-violation`` — the interprocedural generalization of
-  ``stale-read-across-rpc``: a local read from mutable ``self`` state
-  crosses a *transitive* yield (a call edge that blocks somewhere
-  below, or a direct ``sleep``/``fsync``) and then drives a branch or
-  a shared-state write, with no revalidating re-read of the attribute
-  after the yield.  Direct ``net.invoke`` crossings stay with the
-  intra-procedural rule; this one starts where that one's visibility
-  ends.
+* ``atomicity-violation`` — check-then-act across the scheduler: a
+  local read from ``self`` state crosses a yield point (a direct
+  ``invoke``/``send``/``sleep``/``fsync``, or a call edge that blocks
+  somewhere below) and then drives a branch or a shared-state write,
+  with no revalidating re-read of the attribute after the yield.  The
+  classic instance is an Espresso master reading its partition SCN,
+  calling the relay, then advancing on the pre-call SCN.  A direct RPC
+  runs a peer's handler, which may write state the receiver's own code
+  never stores, so it is a crossing for every ``self`` attribute; an
+  inherited yield counts only for the attributes the class writes,
+  which keeps the call-graph reach precise.  Free functions taking
+  ``self`` (method bodies written outside their class) are checked
+  too.
 * ``non-atomic-multi-write`` — two coupled shared-state writes
   separated by a yield with no journal/WAL record between them: the
   torn-state window the crash tests probe dynamically, as a static
@@ -103,16 +108,25 @@ def _construction_only(graph: CallGraph) -> frozenset[str]:
     return frozenset(only)
 
 
+def _receiver(fn: FunctionInfo) -> str | None:
+    """The name ``self`` state is read through: a method's first
+    parameter, or the ``self`` parameter of a free function."""
+    if fn.cls is not None:
+        return self_param_name(fn)
+    args = [*fn.node.args.posonlyargs, *fn.node.args.args]
+    return "self" if args and args[0].arg == "self" else None
+
+
 def _methods(project: Project) -> Iterator[tuple[FunctionInfo, Summary]]:
-    """Methods with their summaries, deterministic order; constructors
-    and construction-only helpers excluded (single-threaded setup
-    cannot race)."""
+    """Functions with a receiver, with their summaries, deterministic
+    order; constructors and construction-only helpers excluded
+    (single-threaded setup cannot race)."""
     graph = project.graph
     summaries = project.summaries
     setup_only = _construction_only(graph)
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
-        if fn.cls is None or fn.name in _SKIP_METHODS \
+        if _receiver(fn) is None or fn.name in _SKIP_METHODS \
                 or qualname in setup_only:
             continue
         summary = summaries.get(qualname)
@@ -120,30 +134,34 @@ def _methods(project: Project) -> Iterator[tuple[FunctionInfo, Summary]]:
             yield fn, summary
 
 
-def _mutated_attrs(graph: CallGraph, cls_qual: str) -> set[str]:
-    """Top-level self attributes any method (in the MRO) stores outside
-    ``__init__`` — the state that can actually change under a yield."""
+def _mutated_attrs(graph: CallGraph, fn: FunctionInfo) -> set[str]:
+    """Top-level self attributes the receiver's code stores outside
+    ``__init__`` — every method in the class's MRO, or the function
+    itself when it has no class: the state a transitive yield can
+    change under it."""
+    methods = [fn]
+    if fn.cls is not None:
+        methods = []
+        for qual in graph.mro(fn.cls.qualname):
+            info = graph.classes.get(qual)
+            if info is not None:
+                methods.extend(method for name, method in info.methods.items()
+                               if name not in _SKIP_METHODS)
     attrs: set[str] = set()
-    for qual in graph.mro(cls_qual):
-        info = graph.classes.get(qual)
-        if info is None:
+    for method in methods:
+        self_name = _receiver(method)
+        if self_name is None:
             continue
-        for name, method in info.methods.items():
-            if name in _SKIP_METHODS:
-                continue
-            self_name = self_param_name(method)
-            if self_name is None:
-                continue
-            for node in ast.walk(method.node):
-                if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    for target in _store_targets(node):
-                        path = self_store_path(target, self_name)
-                        if path is not None:
-                            attrs.add(path.split(".")[0])
-                elif isinstance(node, ast.AugAssign):
-                    path = self_store_path(node.target, self_name)
+        for node in ast.walk(method.node):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in _store_targets(node):
+                    path = self_store_path(target, self_name)
                     if path is not None:
                         attrs.add(path.split(".")[0])
+            elif isinstance(node, ast.AugAssign):
+                path = self_store_path(node.target, self_name)
+                if path is not None:
+                    attrs.add(path.split(".")[0])
     return attrs
 
 
@@ -286,16 +304,11 @@ class AtomicityViolationRule(ProjectRule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         for fn, summary in _methods(project):
-            yields = {y.node_id: y for y in summary.yield_points
-                      if y.direct != "rpc"}
+            yields = {y.node_id: y for y in summary.yield_points}
             if not yields:
                 continue
-            self_name = self_param_name(fn)
-            if self_name is None:
-                continue
-            mutable = _mutated_attrs(project.graph, fn.cls.qualname)
-            if not mutable:
-                continue
+            self_name = _receiver(fn)
+            mutable = _mutated_attrs(project.graph, fn)
             cfg = build_cfg(fn.node)
             seen_lines: set[int] = set()
             for use in _stale_uses(cfg, yields, mutable, self_name):
@@ -341,19 +354,21 @@ def _is_write(element: ast.AST) -> bool:
 def _stale_uses(cfg: CFG, yields: dict[int, YieldPoint], mutable: set[str],
                 self_name: str
                 ) -> Iterator[tuple[str, str, YieldPoint, ast.AST]]:
-    elements = list(cfg.elements())
-    for block, index, element in elements:
+    direct_rpcs = {key: point for key, point in yields.items()
+                   if point.direct == "rpc"}
+    for block, index, element in cfg.elements():
         for var, attr in _tracked_defs(element, mutable, self_name, yields):
+            crossings = yields if attr in mutable else direct_rpcs
             yield from _walk(cfg, block, index + 1, var, attr,
-                             yields, self_name)
+                             crossings, self_name)
 
 
 def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,
                   yields: dict[int, YieldPoint]
                   ) -> list[tuple[str, str]]:
-    """``(local, attr)`` pairs bound from mutable shared state.  An
-    element that itself yields is a post-yield (re)read, not a stale
-    source."""
+    """``(local, attr)`` pairs bound from shared state, preferring an
+    attribute the receiver writes.  An element that itself yields is a
+    post-yield (re)read, not a stale source."""
     if not isinstance(element, (ast.Assign, ast.AnnAssign)):
         return []
     value = element.value
@@ -361,10 +376,10 @@ def _tracked_defs(element: ast.AST, mutable: set[str], self_name: str,
         return []
     if any(id(call) in yields for call in calls_in(element)):
         return []
-    attrs = _self_attr_loads(value, self_name) & mutable
+    attrs = _self_attr_loads(value, self_name)
     if not attrs:
         return []
-    attr = sorted(attrs)[0]
+    attr = min(attrs & mutable or attrs)
     return [(name, attr) for name in definitions(element)]
 
 

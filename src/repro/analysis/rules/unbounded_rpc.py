@@ -1,21 +1,24 @@
-"""``unbounded-rpc``: a held deadline must bound every transitive RPC.
+"""``unbounded-rpc``: a held deadline must bound every RPC it reaches.
 
-The intra-procedural ``deadline-dropped`` rule catches a function that
-accepts a :class:`~repro.common.resilience.Deadline` and never reads
-it.  This rule catches what that one structurally cannot: the function
-reads its deadline conscientiously and then calls a helper that
-performs network work *without the budget* — three frames down, the
-request is back on default timeouts and the end-to-end bound the edge
-promised is fiction.
+A :class:`~repro.common.resilience.Deadline` is an end-to-end budget
+created at the request edge; its value comes from every hop clamping
+its own timeout to what remains.  One hop that does network work
+without the budget turns "this request has 50 ms left" into "this
+request has the default timeout", and the end-to-end bound the edge
+promised is fiction.  The hop may be the function's own
+``invoke``/``send``, a ``call_with_retries(...)``, or a helper three
+frames down, and the function may read its deadline conscientiously
+elsewhere or never at all.
 
 Powered by the effect summaries: a function that receives (or
 constructs) a deadline is an entry point of a bounded call chain; the
-summary layer marks every call site in it where the budget stops
-flowing — an RPC-reaching callee invoked without any deadline-tainted
-argument, or a direct ``invoke``/``send`` that ignores the budget
-while the function uses it elsewhere.  Each finding carries the full
-witness chain (entry point → dropping call → … → concrete RPC site),
-and a pragma on any frame suppresses it.
+summary layer marks every RPC-reaching call site in it that reads no
+deadline-tainted name.  Each finding sits on the entry point's
+``def`` line, names the held deadline and the dropping call, and
+carries the full witness chain (dropping call → … → concrete RPC
+site); a pragma on the ``def`` line or on any frame suppresses it.
+Functions that accept a deadline for interface conformance and do no
+network work are clean.
 """
 
 from __future__ import annotations
@@ -28,12 +31,11 @@ from repro.analysis.core import Finding, ProjectRule, register
 @register
 class UnboundedRpcRule(ProjectRule):
     name = "unbounded-rpc"
-    summary = ("a held Deadline stops bounding the call chain before a "
-               "transitive RPC (dropped at a call edge)")
+    summary = ("a held Deadline does not reach an RPC the function "
+               "makes or calls into (dropped at a call site)")
     rationale = ("End-to-end latency bounds only hold if every hop clamps "
-                 "to the remaining budget; one call edge that forwards "
-                 "work but not the deadline unbounds the whole request "
-                 "invisibly to per-function review.")
+                 "to the remaining budget; one call that does network "
+                 "work without the deadline unbounds the whole request.")
 
     def check_project(self, project) -> Iterator[Finding]:
         summaries = project.summaries
@@ -46,20 +48,22 @@ class UnboundedRpcRule(ProjectRule):
             if fn is None:
                 continue
             ctx = project.context_for(fn.rel_path)
+            line = fn.node.lineno
+            held = ", ".join(repr(name) for name in summary.holds_deadline)
             for chain in summary.drops_deadline:
                 drop = chain[0]
                 rpc = chain[-1]
                 where = f"{rpc.path}:{rpc.line}" \
                     if len(chain) > 1 else "this call"
                 yield Finding(
-                    rule=self.name, path=drop.path, line=drop.line, col=0,
-                    message=(f"{_short(qualname)}() holds a deadline but "
-                             f"calls {_short(drop.callee)} without it; the "
-                             f"chain reaches an unbounded RPC at {where} — "
-                             "forward the deadline or clamp a timeout "
-                             "from it"),
-                    snippet=ctx.line_text(drop.line) if ctx else "",
-                    end_line=drop.line, chain=chain)
+                    rule=self.name, path=fn.rel_path, line=line, col=0,
+                    message=(f"{_short(qualname)}() holds deadline {held} "
+                             f"but calls {_short(drop.callee)} on line "
+                             f"{drop.line} without it; the chain reaches an "
+                             f"unbounded RPC at {where} — forward the "
+                             "deadline or clamp a timeout from it"),
+                    snippet=ctx.line_text(line) if ctx else "",
+                    end_line=line, chain=chain)
 
 
 def _short(qualname: str) -> str:

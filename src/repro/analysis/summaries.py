@@ -29,12 +29,15 @@ a fixpoint iteration inside recursive components):
   object's state.  Augmented assigns are excluded (counter bumps are
   not coupled-state transitions), as are stores inside ``except``
   handlers (compensation, not the happy path).
-* **drops-deadline** — assuming the function *receives* a deadline
-  (a ``deadline``/``budget`` parameter, or one it constructs), does
-  that budget flow into every transitive RPC?  Flow is tracked as a
-  taint set: the deadline names themselves plus every local assigned
-  from an expression that reads a tainted name (``timeout =
-  deadline.clamp(t)`` taints ``timeout``).  An RPC-reaching call that
+* **drops-deadline** — assuming the function *holds* a deadline
+  (a ``deadline``/``budget`` parameter, one annotated ``Deadline``, or
+  one it constructs), does that budget flow into every RPC it reaches?
+  Flow is tracked as a taint set: the deadline names themselves plus
+  every local assigned from an expression that reads a tainted name
+  (``timeout = deadline.clamp(t)`` taints ``timeout``) and every
+  nested def whose body reads one (the closure carries the budget).
+  An RPC-reaching call — a direct ``invoke``/``send``, a call whose
+  callee blocks on ``rpc``, or a ``call_with_retries(...)`` — that
   reads no tainted name is a *drop*; the witness chain runs from that
   call down to a concrete RPC site.
 
@@ -97,7 +100,8 @@ class Summary:
     raises: dict[str, tuple[Frame, ...]] = field(default_factory=dict)
     #: effect name ("rpc"/"sleep"/"fsync") -> witness chain to the site
     blocks: dict[str, tuple[Frame, ...]] = field(default_factory=dict)
-    accepts_deadline: bool = False
+    #: the names through which the function holds a request budget
+    holds_deadline: tuple[str, ...] = ()
     #: witness chains, one per call site where the received deadline
     #: stops bounding a transitive RPC (empty: every RPC is bounded,
     #: or there are none)
@@ -349,19 +353,23 @@ def _deadline_sources(fn: FunctionInfo) -> set[str]:
 
 def _taint_closure(fn: FunctionInfo, sources: set[str]) -> set[str]:
     """Locals reachable from the deadline by assignment dataflow
-    (flow-insensitive: one pass per growth round)."""
+    (flow-insensitive: one pass per growth round).  A nested def that
+    reads the budget is tainted too, so handing the closure on
+    (``call_with_retries(attempt, ...)``) forwards the deadline."""
     tainted = set(sources)
     changed = True
     while changed:
         changed = False
         for node in ast.walk(fn.node):
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                target, value = node.targets[0].id, node.value
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node is not fn.node:
+                target, value = node.name, node
+            else:
                 continue
-            target = node.targets[0].id
-            if target in tainted:
-                continue
-            if _reads_any(node.value, tainted):
+            if target not in tainted and _reads_any(value, tainted):
                 tainted.add(target)
                 changed = True
     return tainted
@@ -401,8 +409,7 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
                     hierarchy: Hierarchy) -> Summary:
     """One round of the transfer function; callee summaries default to
     empty inside an unconverged SCC."""
-    out = Summary(qualname=fn.qualname,
-                  accepts_deadline=bool(fn.deadline_params()))
+    out = Summary(qualname=fn.qualname)
     collector = _SiteCollector(fn)
     calls = _call_node_index(fn)
 
@@ -467,37 +474,45 @@ def _summarize_once(fn: FunctionInfo, graph: CallGraph,
         yields, key=lambda y: (y.line, y.callee, y.kinds)))
 
     # deadline threading, assuming this function holds a budget
-    deadline_names = _deadline_sources(fn)
-    if deadline_names:
-        tainted = _taint_closure(fn, deadline_names)
-        reads_anywhere = _reads_any(fn.node, set(deadline_names))
+    held = _deadline_sources(fn)
+    if held:
+        out.holds_deadline = tuple(sorted(held))
+        tainted = _taint_closure(fn, held)
+        reaching: list[tuple[int, ast.Call | None, tuple[Frame, ...]]] = []
+        for site in sites:
+            callee = summaries.get(site.callee)
+            if site.kind == "rpc":
+                below: tuple[Frame, ...] = ()
+            elif site.kind in ("call", "ref") and callee is not None \
+                    and "rpc" in callee.blocks:
+                below = callee.blocks["rpc"]
+            else:
+                continue
+            reaching.append((site.line, calls.get(site.node_id),
+                             (_frame(fn, site.line, site.callee),) + below))
+        for node in calls.values():
+            if _is_retry_call(node):
+                reaching.append((node.lineno, node, (
+                    _frame(fn, node.lineno, "call_with_retries"),)))
         drops: list[tuple[Frame, ...]] = []
         flagged_lines: set[int] = set()
-        for site in sites:
-            node = calls.get(site.node_id)
-            bounded = node is not None and _reads_any(node, tainted)
-            if bounded or site.line in flagged_lines:
+        for line, node, chain in sorted(reaching, key=lambda r: r[0]):
+            if line in flagged_lines or \
+                    (node is not None and _reads_any(node, tainted)):
                 continue
-            if site.kind == "rpc":
-                # a direct RPC that never sees the budget is the intra
-                # deadline-dropped rule's territory when the deadline
-                # is wholly unread; interprocedurally we flag it only
-                # when the function *does* use the deadline elsewhere
-                # but not at this hop
-                if reads_anywhere:
-                    flagged_lines.add(site.line)
-                    drops.append((_frame(fn, site.line, site.callee),))
-                continue
-            if site.kind not in ("call", "ref"):
-                continue
-            callee = summaries.get(site.callee)
-            if callee is None or "rpc" not in callee.blocks:
-                continue
-            flagged_lines.add(site.line)
-            drops.append((_frame(fn, site.line, site.callee),)
-                         + callee.blocks["rpc"])
+            flagged_lines.add(line)
+            drops.append(chain)
         out.drops_deadline = tuple(drops)
     return out
+
+
+def _is_retry_call(node: ast.Call) -> bool:
+    """``call_with_retries(...)``: the retried function is the RPC,
+    whether or not the scan resolves it."""
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else \
+        func.attr if isinstance(func, ast.Attribute) else ""
+    return name == "call_with_retries"
 
 
 def _is_bare_self_call(node: ast.Call | None, self_name: str) -> bool:

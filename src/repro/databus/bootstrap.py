@@ -115,11 +115,12 @@ class BootstrapServer:
                 event = _decode_event(payload)
                 self._snapshot[(event.source, event.key)] = event
         watermark = self._applied_through
-        for payload in self._log_wal.replay():
+        for _, payload in self._log_wal.recovered:
             event = _decode_event(payload)
             if event.scn <= watermark:
                 continue  # folded into the checkpoint before the crash
             self._log.append(event)
+        self._log_wal.recovered = []
         self.recovered_events = len(self._log)
         self.apply_log()
 
@@ -145,6 +146,7 @@ class BootstrapServer:
         # interleaves with the compaction fsyncs raises before touching
         # self._log and the relay redelivers once the new WAL is open
         self._log_wal = WriteAheadLog(self.LOG_NAME, disk=self._disk)  # repro-lint: disable=atomicity-violation
+        self._log_wal.recovered = []  # the kept rows are in self._log
         return compacted - self._log_wal.size_bytes
 
     # -- log writer ------------------------------------------------------------

@@ -99,7 +99,6 @@ class DatabusClient:
                  relay_name: str | None = None,
                  bootstrap_name: str | None = None,
                  breaker: CircuitBreaker | None = None,
-                 retry_seed: int = 0,
                  bulk_lag_scns: int = 1000):
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
@@ -129,7 +128,7 @@ class DatabusClient:
         else:
             self.clock = SimClock()
         self.retry_policy = retry_policy
-        self._retry_rng = random.Random(retry_seed)
+        self._retry_rng = random.Random(0)
         self.metrics = MetricsRegistry()
         self.relay_breaker = breaker or CircuitBreaker(
             self.clock, name="relay", metrics=self.metrics)

@@ -143,7 +143,7 @@ class EspressoStorageNode:
         """Replay the commit log: rows, secondary indexes, and the
         last-applied SCN are rebuilt from the same frames, so a crash
         can never leave the index diverged from the data store."""
-        for frame in self._commit_wal.replay():
+        for _, frame in self._commit_wal.recovered:
             partition, scn, count = _WAL_WINDOW.unpack_from(frame, 0)
             offset = _WAL_WINDOW.size
             changes: list[ChangeEvent] = []
@@ -165,6 +165,7 @@ class EspressoStorageNode:
             self._apply_changes(changes)
             self.partition_scn[partition] = scn
             self.recovered_windows += 1
+        self._commit_wal.recovered = []
 
     # -- roles ----------------------------------------------------------------
 

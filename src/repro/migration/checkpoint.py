@@ -55,6 +55,9 @@ class MigrationJournal:
 
     def __init__(self, disk: Disk, name: str = LOG_NAME):
         self._wal = WriteAheadLog(name, disk=disk)
+        # reads re-scan the file through replay(), which also sees the
+        # records appended since the open
+        self._wal.recovered = []
         self.records_written = 0
 
     def record(self, checkpoint: MigrationCheckpoint) -> None:

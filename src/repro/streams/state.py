@@ -29,6 +29,7 @@ from typing import Callable, Iterator
 from repro.common.errors import ConfigurationError
 from repro.common.storage import Disk
 from repro.common.wal import WriteAheadLog, write_frames
+from repro.streams.changelog import decode_mutation, encode_mutation
 
 MutationHook = Callable[[str, object], None]
 
@@ -143,8 +144,7 @@ def write_snapshot(disk: Disk, path: str, store: KeyedStateStore,
     entries = store.items()
     write_frames(disk, tmp_path, [
         json.dumps(header, sort_keys=True).encode(),
-        *(json.dumps({"k": key, "v": value}, sort_keys=True).encode()
-          for key, value in entries)])
+        *(encode_mutation(key, value) for key, value in entries)])
     disk.replace(tmp_path, path)
     return len(entries)
 
@@ -165,10 +165,8 @@ def load_snapshot(disk: Disk, path: str,
     if not disk.exists(path):
         return None
     wal = WriteAheadLog(path, disk=disk)
-    try:
-        frames = list(wal.replay())
-    finally:
-        wal.close()
+    wal.close()
+    frames = [payload for _, payload in wal.recovered]
     if not frames:
         return None
     header = json.loads(frames[0])
@@ -181,6 +179,5 @@ def load_snapshot(disk: Disk, path: str,
         return None
     store.clear()
     for payload in frames[1:]:
-        record = json.loads(payload)
-        store.apply(record["k"], record["v"])
+        store.apply(*decode_mutation(payload))
     return int(header["changelog_offset"])

@@ -85,7 +85,7 @@ class VoldemortServer:
     def _recover_hints(self) -> None:
         """Rebuild outstanding hints: stored minus delivered."""
         outstanding: dict[int, Hint] = {}
-        for payload in self._slop_wal.replay():
+        for _, payload in self._slop_wal.recovered:
             if payload[0] == _HINT_STORED:
                 seq, hint = _decode_hint(payload)
                 outstanding[seq] = hint
@@ -93,6 +93,7 @@ class VoldemortServer:
             elif payload[0] == _HINT_DELIVERED:
                 (seq,) = _HINT_SEQ.unpack_from(payload, 1)
                 outstanding.pop(seq, None)
+        self._slop_wal.recovered = []
         self._hint_seqs = sorted(outstanding)
         self.hints = [outstanding[seq] for seq in self._hint_seqs]
 

@@ -5,7 +5,7 @@ rules build CFGs per function per rule, the interprocedural pass adds
 a repo-wide call graph plus SCC-ordered effect summaries, and the
 atomicity pass walks per-method CFGs against the transitive
 yield-point sets on top.  This test is the backstop that keeps that
-affordable.  The budget is generous (the full run with all sixteen
+affordable.  The budget is generous (the full run with all fourteen
 rules takes ~2-4 s on a laptop) so the test is a tripwire for
 accidental quadratic behaviour, not a benchmark.
 """

@@ -77,8 +77,8 @@ def test_list_rules_names_the_full_registry(capsys):
     out = capsys.readouterr().out
     for rule in ("wall-clock", "unseeded-random", "set-iteration",
                  "swallowed-transport-error", "retry-without-backoff",
-                 "deadline-dropped", "durability-unsynced-ack",
-                 "breaker-unrecorded-outcome", "stale-read-across-rpc",
+                 "unbounded-rpc", "durability-unsynced-ack",
+                 "breaker-unrecorded-outcome", "atomicity-violation",
                  "layering-contract"):
         assert rule in out
 

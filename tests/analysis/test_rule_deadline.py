@@ -1,8 +1,9 @@
-"""deadline-dropped rule: positives, negatives, suppression."""
+"""unbounded-rpc, per-function cases: an accepted deadline must reach
+the function's own network work.  Positives, negatives, suppression."""
 
 from tests.analysis.conftest import lint
 
-RULE = "deadline-dropped"
+RULE = "unbounded-rpc"
 
 
 def test_dropped_deadline_param_flagged():
@@ -66,8 +67,53 @@ def test_deadline_read_in_nested_scope_is_clean():
 
 def test_pragma_suppresses():
     findings = lint("""
-        def fetch(self, key, deadline=None):  # repro-lint: disable=deadline-dropped
+        def fetch(self, key, deadline=None):  # repro-lint: disable=unbounded-rpc
             result, _ = self.network.invoke("c", "s", self.fn, key)
             return result
     """, RULE)
     assert findings == []
+
+
+def test_unread_deadline_in_a_method_names_the_variable_and_the_call():
+    findings = lint("""
+        class Client:
+            def fetch(self, key, deadline=None):
+                result, _ = self.network.invoke("c", "s", self.fn, key)
+                return result
+    """, RULE)
+    assert [f.line for f in findings] == [3]
+    assert "'deadline'" in findings[0].message
+    assert "line 4" in findings[0].message
+
+
+def test_budget_closure_handed_to_call_with_retries_is_clean():
+    findings = lint("""
+        def fetch(self, key, budget: Deadline):
+            def attempt():
+                return self.network.invoke("c", "s", self.fn, key,
+                                           timeout=budget.clamp(0.5))
+            return call_with_retries(attempt, clock=self.clock)
+    """, RULE)
+    assert findings == []
+
+
+def test_budget_forwarded_to_call_with_retries_is_clean():
+    findings = lint("""
+        def fetch(self, key, budget: Deadline):
+            return call_with_retries(lambda: self.do(key),
+                                     clock=self.clock, deadline=budget)
+    """, RULE)
+    assert findings == []
+
+
+def test_retried_rpc_without_the_budget_flagged():
+    findings = lint("""
+        def fetch(self, key, budget: Deadline):
+            budget.check("fetch")
+            def attempt():
+                return self.network.invoke("c", "s", self.fn, key)
+            return call_with_retries(attempt, clock=self.clock)
+    """, RULE)
+    # the retried closure reaches an RPC but never sees the budget
+    assert [f.line for f in findings] == [2]
+    assert "line 6" in findings[0].message

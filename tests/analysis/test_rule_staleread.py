@@ -1,9 +1,9 @@
-"""stale-read-across-rpc: reads crossing a network call must be
-re-read before driving a decision."""
+"""atomicity-violation, direct-RPC cases: reads crossing a network
+call must be re-read before driving a decision."""
 
 from tests.analysis.conftest import lint
 
-RULE = "stale-read-across-rpc"
+RULE = "atomicity-violation"
 
 
 def test_check_then_act_across_invoke_flagged():
@@ -104,7 +104,55 @@ def test_pragma_suppresses():
         def advance(self):
             current = self.partition_scn
             self.net.invoke(self.relay_pull, current)
-            if current < self.high_water:  # repro-lint: disable=stale-read-across-rpc
+            if current < self.high_water:  # repro-lint: disable=atomicity-violation
                 self.apply(current)
     """, RULE)
     assert findings == []
+
+
+def test_attribute_the_class_never_writes_flagged_in_a_method():
+    findings = lint("""
+        class Master:
+            def advance(self):
+                current = self.partition_scn
+                self.net.invoke(self.relay_pull, current)
+                if current < self.high_water:
+                    self.apply(current)
+    """, RULE)
+    # a direct RPC runs the peer's handler, which may write state this
+    # class never stores: every self attribute is suspect across it
+    assert [f.line for f in findings] == [6]
+
+
+def test_unwritten_attribute_across_an_inherited_yield_is_clean():
+    findings = lint("""
+        class Master:
+            def _pull(self):
+                self.net.invoke(self.relay_pull)
+
+            def advance(self):
+                current = self.partition_scn
+                self._pull()
+                if current < self.high_water:
+                    self.apply(current)
+    """, RULE)
+    assert findings == []
+
+
+def test_written_attribute_across_an_inherited_yield_flagged():
+    findings = lint("""
+        class Master:
+            def _pull(self):
+                self.net.invoke(self.relay_pull)
+
+            def commit(self, scn):
+                self.partition_scn = scn
+
+            def advance(self):
+                current = self.partition_scn
+                self._pull()
+                if current < self.high_water:
+                    self.apply(current)
+    """, RULE)
+    assert [f.line for f in findings] == [12]
+    assert "line 11" in findings[0].message

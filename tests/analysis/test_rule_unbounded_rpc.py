@@ -77,7 +77,7 @@ def test_pragma_on_chain_frame_suppresses(tmp_path):
 
 def test_deadline_dropped_only_at_one_frame(tmp_path):
     # the helper forwards correctly; only the middle frame drops —
-    # exactly one finding, anchored at the dropping call
+    # exactly one finding, naming the dropping call
     files = {
         "src/repro/pkg/mod.py": """
             class Client:

@@ -46,6 +46,32 @@ class TestCommitLogRecovery:
         record = recovered.get_document("Artist", ("nirvana",))
         assert record.document["genre"] == "grunge"
 
+    def test_reopen_keeps_no_copy_of_the_commit_log(self, durable_cluster):
+        """Recovery applies the opening scan's frames and then drops
+        them: a reopened node holds its documents, not its WAL bytes."""
+        cluster = durable_cluster
+        node = put_artist(cluster, "can", genre="krautrock")
+        name = node.instance_name
+        windows = 1
+        for genre in ("ambient", "funk", "jazz"):
+            put_artist(cluster, "can", genre=genre)
+            windows += 1
+        for artist in ("neu", "faust", "cluster", "harmonia", "popol-vuh"):
+            if cluster.node_for_resource(artist) is node:
+                put_artist(cluster, artist, genre="krautrock")
+                windows += 1
+        before = {table: list(node.local.table(table).scan())
+                  for table in cluster.database.table_names()}
+
+        cluster.crash_node(name)
+        cluster.recover_node(name)
+        recovered = cluster.nodes[name]
+        assert recovered.recovered_windows == windows
+        assert recovered._commit_wal.recovered == []
+        after = {table: list(recovered.local.table(table).scan())
+                 for table in cluster.database.table_names()}
+        assert after == before
+
     def test_indexes_rebuilt_with_documents(self, durable_cluster):
         cluster = durable_cluster
         node = put_artist(cluster, "kraftwerk", genre="electronic")
