@@ -15,14 +15,36 @@ This module implements the subset of Avro needed by both systems:
   fields are skipped, and numeric promotions (int->long->float->double)
   are applied — mirroring the rules Espresso relies on for promotion of
   stored documents to new schema versions.
+
+**Compiled codecs.**  No schema is interpreted per call.  The first
+:func:`encode_record` or :func:`decode_record` against a schema
+generates one straight-line Python function for it (fields unrolled,
+varints inlined, one ``bytearray`` or ``bytes`` walked by index) and
+caches it on the schema; :func:`decode_with_resolution` does the same
+once per (writer, reader) pair, running :func:`check_compatible` only
+then.  Schemas are therefore immutable once used.  Field names and
+defaults reach the generated code as bound constants, never as source
+text.
+
+**The ``any`` leaf type — a departure from Avro.**  For values that are
+not fixed records (stream payloads, stream task state) a field may be
+declared ``"any"``: one tag byte per value — null, false, true, long,
+double, string, list, map — then the value's Avro encoding (a list or
+map is a count, then its items).  Map keys must be ``str`` and are
+written in sorted order, so equal values encode to equal bytes whatever
+a dict's insertion order.  ``bool`` stays distinct from ``int``, and
+tuples decode as lists, so a value round-trips exactly as
+``json.loads(json.dumps(value))`` would.  Anything else — another
+type, a non-``str`` key, a long outside 64 bits — raises
+:class:`SerializationError`.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass
+from typing import Any
 
 from repro.common.errors import (
     SchemaCompatibilityError,
@@ -30,7 +52,8 @@ from repro.common.errors import (
     SerializationError,
 )
 
-_PRIMITIVES = {"null", "boolean", "int", "long", "float", "double", "bytes", "string"}
+_PRIMITIVES = {"null", "boolean", "int", "long", "float", "double", "bytes",
+               "string", "any"}
 _NUMERIC_PROMOTIONS = {
     "int": {"int", "long", "float", "double"},
     "long": {"long", "float", "double"},
@@ -67,6 +90,10 @@ class RecordSchema:
         self.fields = list(fields)
         self.version = version
         self._by_name = {f.name: f for f in self.fields}
+        # compiled on first use (see the module docstring)
+        self._encoder = None
+        self._decoder = None
+        self._resolvers: dict[RecordSchema, object] = {}
 
     @classmethod
     def parse(cls, document: str | dict) -> "RecordSchema":
@@ -136,175 +163,391 @@ def _validate_type(ftype: object, schema: str, field: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary encoding
+# binary encoding: the leaves every compiled codec calls
 # ---------------------------------------------------------------------------
 
-def _zigzag_encode(value: int) -> int:
-    return (value << 1) ^ (value >> 63)
+_LONG_MIN = -(1 << 63)
+_LONG_MAX = (1 << 63) - 1
+_FLOAT = struct.Struct("<f")
+_DOUBLE = struct.Struct("<d")
 
 
-def _zigzag_decode(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+def _write_long(out: bytearray, value: int) -> None:
+    """Append ``value`` as a zig-zag varint; it must fit in 64 bits."""
+    if not _LONG_MIN <= value <= _LONG_MAX:
+        raise SerializationError(f"long {value} is outside 64 bits")
+    value = (value << 1) ^ (value >> 63)
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
 
 
-def write_varint(buf: io.BytesIO, value: int) -> None:
-    encoded = _zigzag_encode(value) & 0xFFFFFFFFFFFFFFFF
+def _read_long(data: bytes, pos: int) -> tuple[int, int]:
+    """The zig-zag varint at ``pos``, and the position after it."""
+    accum = shift = 0
     while True:
-        byte = encoded & 0x7F
-        encoded >>= 7
-        if encoded:
-            buf.write(bytes([byte | 0x80]))
-        else:
-            buf.write(bytes([byte]))
-            return
-
-
-def read_varint(buf: io.BytesIO) -> int:
-    shift = 0
-    accum = 0
-    while True:
-        raw = buf.read(1)
-        if not raw:
-            raise SerializationError("truncated varint")
-        byte = raw[0]
+        try:
+            byte = data[pos]
+        except IndexError:
+            raise SerializationError("truncated varint") from None
+        pos += 1
         accum |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return _zigzag_decode(accum)
+        if byte < 0x80:
+            return (accum >> 1) ^ -(accum & 1), pos
         shift += 7
         if shift > 70:
             raise SerializationError("varint too long")
 
 
-def _encode_value(buf: io.BytesIO, ftype: object, value: object, path: str) -> None:
-    if isinstance(ftype, list):  # nullable union
-        if value is None:
-            write_varint(buf, 0)
-            return
-        write_varint(buf, 1)
-        _encode_value(buf, ftype[1], value, path)
-        return
-    if isinstance(ftype, dict):
-        if "array" in ftype:
-            if not isinstance(value, (list, tuple)):
-                raise SerializationError(f"{path}: expected list, got {type(value).__name__}")
-            write_varint(buf, len(value))
-            for i, item in enumerate(value):
-                _encode_value(buf, ftype["array"], item, f"{path}[{i}]")
-            return
-        if "map" in ftype:
-            if not isinstance(value, dict):
-                raise SerializationError(f"{path}: expected dict, got {type(value).__name__}")
-            write_varint(buf, len(value))
-            for key, item in value.items():
-                _encode_primitive(buf, "string", key, path)
-                _encode_value(buf, ftype["map"], item, f"{path}[{key!r}]")
-            return
-    _encode_primitive(buf, ftype, value, path)
+# tag bytes of the ``any`` encoding
+(_ANY_NULL, _ANY_FALSE, _ANY_TRUE, _ANY_LONG, _ANY_DOUBLE, _ANY_STRING,
+ _ANY_LIST, _ANY_MAP) = range(8)
 
 
-def _encode_primitive(buf: io.BytesIO, ftype: object, value: object, path: str) -> None:
-    try:
-        if ftype == "null":
-            if value is not None:
-                raise SerializationError(f"{path}: null field got {value!r}")
-        elif ftype == "boolean":
-            buf.write(b"\x01" if value else b"\x00")
-        elif ftype in ("int", "long"):
-            write_varint(buf, int(value))  # type: ignore[arg-type]
-        elif ftype == "float":
-            buf.write(struct.pack("<f", float(value)))  # type: ignore[arg-type]
-        elif ftype == "double":
-            buf.write(struct.pack("<d", float(value)))  # type: ignore[arg-type]
-        elif ftype == "bytes":
-            data = bytes(value)  # type: ignore[arg-type]
-            write_varint(buf, len(data))
-            buf.write(data)
-        elif ftype == "string":
-            data = str(value).encode("utf-8")
-            write_varint(buf, len(data))
-            buf.write(data)
+def _encode_any(out: bytearray, value: Any) -> None:
+    # one-byte string sizes and longs (below 64, in [-64, 64)) are inlined
+    kind = type(value)
+    if kind is str:
+        data = value.encode()
+        out.append(_ANY_STRING)
+        if len(data) < 0x40:
+            out.append(len(data) << 1)
         else:
-            raise SerializationError(f"{path}: cannot encode type {ftype!r}")
-    except (TypeError, ValueError) as exc:
-        raise SerializationError(f"{path}: {exc}") from exc
+            _write_long(out, len(data))
+        out += data
+    elif kind is int:
+        out.append(_ANY_LONG)
+        if -0x40 <= value < 0x40:
+            out.append((value << 1) ^ (value >> 63))
+        else:
+            _write_long(out, value)
+    elif kind is dict:
+        out.append(_ANY_MAP)
+        _write_long(out, len(value))
+        for key in sorted(value):
+            if type(key) is not str:
+                raise SerializationError(f"map key {key!r} is not a str")
+            data = key.encode()
+            if len(data) < 0x40:
+                out.append(len(data) << 1)
+            else:
+                _write_long(out, len(data))
+            out += data
+            _encode_any(out, value[key])
+    elif kind is list or kind is tuple:
+        out.append(_ANY_LIST)
+        _write_long(out, len(value))
+        for item in value:
+            _encode_any(out, item)
+    elif kind is float:
+        out.append(_ANY_DOUBLE)
+        out += _DOUBLE.pack(value)
+    elif value is None:
+        out.append(_ANY_NULL)
+    elif kind is bool:
+        out.append(_ANY_TRUE if value else _ANY_FALSE)
+    else:
+        raise SerializationError(f"cannot encode {kind.__name__} as any")
 
 
-def _decode_value(buf: io.BytesIO, ftype: object) -> object:
+def _read_str(data: bytes, pos: int) -> tuple[str, int]:
+    length = data[pos]
+    if length < 0x80:
+        pos += 1
+        length = (length >> 1) ^ -(length & 1)
+    else:
+        length, pos = _read_long(data, pos)
+    end = pos + length
+    if length < 0 or end > len(data):
+        raise SerializationError("truncated string")
+    return data[pos:end].decode(), end
+
+
+def _decode_any(data: bytes, pos: int) -> tuple[object, int]:
+    tag = data[pos]
+    pos += 1
+    if tag == _ANY_STRING:
+        return _read_str(data, pos)
+    if tag == _ANY_LONG:
+        value = data[pos]
+        if value < 0x80:
+            return (value >> 1) ^ -(value & 1), pos + 1
+        return _read_long(data, pos)
+    if tag == _ANY_MAP:
+        count, pos = _read_long(data, pos)
+        mapping: dict[str, object] = {}
+        for _ in range(count):
+            key, pos = _read_str(data, pos)
+            mapping[key], pos = _decode_any(data, pos)
+        return mapping, pos
+    if tag == _ANY_LIST:
+        count, pos = _read_long(data, pos)
+        items = []
+        for _ in range(count):
+            item, pos = _decode_any(data, pos)
+            items.append(item)
+        return items, pos
+    if tag == _ANY_DOUBLE:
+        return _DOUBLE.unpack_from(data, pos)[0], pos + 8
+    if tag == _ANY_NULL:
+        return None, pos
+    if tag == _ANY_TRUE:
+        return True, pos
+    if tag == _ANY_FALSE:
+        return False, pos
+    raise SerializationError(f"invalid any tag {tag}")
+
+
+# ---------------------------------------------------------------------------
+# the compiler: one generated function per schema (or schema pair)
+# ---------------------------------------------------------------------------
+
+#: what generated code may name besides its own bound constants
+_RUNTIME = {
+    "SerializationError": SerializationError,
+    "write_long": _write_long,
+    "read_long": _read_long,
+    "encode_any": _encode_any,
+    "decode_any": _decode_any,
+    "pack_float": _FLOAT.pack,
+    "pack_double": _DOUBLE.pack,
+    "unpack_float": _FLOAT.unpack_from,
+    "unpack_double": _DOUBLE.unpack_from,
+    "struct_error": struct.error,
+}
+
+
+class _Source:
+    """The lines of one generated function and the constants it binds."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.namespace = dict(_RUNTIME)
+        self._counter = 0
+
+    def emit(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def fresh(self, prefix: str) -> str:
+        self._counter += 1
+        return f"{prefix}{self._counter}"
+
+    def bind(self, value: object) -> str:
+        """A name under which the generated code sees ``value``."""
+        name = self.fresh("K")
+        self.namespace[name] = value
+        return name
+
+    def build(self, label: str):
+        code = compile("\n".join(self.lines), f"<{label}>", "exec")
+        exec(code, self.namespace)
+        return self.namespace["codec"]
+
+
+def _emit_encode(src: _Source, ftype: object, var: str, depth: int) -> None:
+    """Append ``var``'s encoding under ``ftype`` to ``out``.
+
+    Coercions match the reference interpreter the tests keep:
+    ``int()``, ``float()``, ``str()`` and ``bytes()`` of the value.
+    """
+    emit = src.emit
     if isinstance(ftype, list):
-        branch = read_varint(buf)
-        if branch == 0:
-            return None
-        if branch != 1:
-            raise SerializationError(f"invalid union branch {branch}")
-        return _decode_value(buf, ftype[1])
-    if isinstance(ftype, dict):
-        if "array" in ftype:
-            count = read_varint(buf)
-            return [_decode_value(buf, ftype["array"]) for _ in range(count)]
-        if "map" in ftype:
-            count = read_varint(buf)
-            out = {}
-            for _ in range(count):
-                key = _decode_primitive(buf, "string")
-                out[key] = _decode_value(buf, ftype["map"])
-            return out
-    return _decode_primitive(buf, ftype)
+        emit(depth, f"if {var} is None:")
+        emit(depth + 1, "out.append(0)")
+        emit(depth, "else:")
+        emit(depth + 1, "out.append(2)")
+        _emit_encode(src, ftype[1], var, depth + 1)
+    elif isinstance(ftype, dict) and "array" in ftype:
+        item = src.fresh("item")
+        emit(depth, f"if not isinstance({var}, (list, tuple)):")
+        emit(depth + 1, "raise SerializationError("
+                        f"f'expected list, got {{type({var}).__name__}}')")
+        emit(depth, f"write_long(out, len({var}))")
+        emit(depth, f"for {item} in {var}:")
+        _emit_encode(src, ftype["array"], item, depth + 1)
+    elif isinstance(ftype, dict):
+        key, item = src.fresh("key"), src.fresh("item")
+        emit(depth, f"if not isinstance({var}, dict):")
+        emit(depth + 1, "raise SerializationError("
+                        f"f'expected dict, got {{type({var}).__name__}}')")
+        emit(depth, f"write_long(out, len({var}))")
+        emit(depth, f"for {key}, {item} in {var}.items():")
+        _emit_encode(src, "string", key, depth + 1)
+        _emit_encode(src, ftype["map"], item, depth + 1)
+    elif ftype == "null":
+        emit(depth, f"if {var} is not None:")
+        emit(depth + 1,
+             f"raise SerializationError(f'null field got {{{var}!r}}')")
+    elif ftype == "boolean":
+        emit(depth, f"out.append(1 if {var} else 0)")
+    elif ftype in ("int", "long"):
+        number = src.fresh("number")
+        emit(depth, f"{number} = int({var})")
+        emit(depth, f"if -0x40 <= {number} < 0x40:")
+        emit(depth + 1, f"out.append(({number} << 1) ^ ({number} >> 63))")
+        emit(depth, "else:")
+        emit(depth + 1, f"write_long(out, {number})")
+    elif ftype == "float":
+        emit(depth, f"out += pack_float(float({var}))")
+    elif ftype == "double":
+        emit(depth, f"out += pack_double(float({var}))")
+    elif ftype == "any":
+        emit(depth, f"encode_any(out, {var})")
+    else:
+        data = src.fresh("data")
+        convert = "bytes" if ftype == "bytes" else "str"
+        encode = "" if ftype == "bytes" else ".encode()"
+        emit(depth, f"{data} = {convert}({var}){encode}")
+        emit(depth, f"if len({data}) < 0x40:")
+        emit(depth + 1, f"out.append(len({data}) << 1)")
+        emit(depth, "else:")
+        emit(depth + 1, f"write_long(out, len({data}))")
+        emit(depth, f"out += {data}")
 
 
-def _decode_primitive(buf: io.BytesIO, ftype: object) -> object:
-    if ftype == "null":
-        return None
-    if ftype == "boolean":
-        raw = buf.read(1)
-        if not raw:
-            raise SerializationError("truncated boolean")
-        return raw[0] != 0
-    if ftype in ("int", "long"):
-        return read_varint(buf)
-    if ftype == "float":
-        return struct.unpack("<f", buf.read(4))[0]
-    if ftype == "double":
-        return struct.unpack("<d", buf.read(8))[0]
-    if ftype == "bytes":
-        length = read_varint(buf)
-        data = buf.read(length)
-        if len(data) != length:
-            raise SerializationError("truncated bytes")
-        return data
-    if ftype == "string":
-        length = read_varint(buf)
-        data = buf.read(length)
-        if len(data) != length:
-            raise SerializationError("truncated string")
-        return data.decode("utf-8")
-    raise SerializationError(f"cannot decode type {ftype!r}")
+def _emit_long(src: _Source, var: str, depth: int) -> None:
+    """Read a varint into ``var``; one-byte values stay inline."""
+    emit = src.emit
+    emit(depth, f"{var} = data[pos]")
+    emit(depth, f"if {var} < 0x80:")
+    emit(depth + 1, "pos += 1")
+    emit(depth + 1, f"{var} = ({var} >> 1) ^ -({var} & 1)")
+    emit(depth, "else:")
+    emit(depth + 1, f"{var}, pos = read_long(data, pos)")
 
 
-def _skip_value(buf: io.BytesIO, ftype: object) -> None:
-    _decode_value(buf, ftype)
+def _emit_decode(src: _Source, ftype: object, var: str, depth: int) -> None:
+    """Decode the value at ``pos`` under ``ftype`` into ``var``."""
+    emit = src.emit
+    if isinstance(ftype, list):
+        # the branch index is the varint 0 or 1: one byte, 0x00 or 0x02
+        branch = src.fresh("branch")
+        emit(depth, f"{branch} = data[pos]")
+        emit(depth, "pos += 1")
+        emit(depth, f"if {branch} == 2:")
+        _emit_decode(src, ftype[1], var, depth + 1)
+        emit(depth, f"elif {branch} == 0:")
+        emit(depth + 1, f"{var} = None")
+        emit(depth, "else:")
+        emit(depth + 1, "raise SerializationError("
+                        f"f'invalid union branch byte {{{branch}}}')")
+    elif isinstance(ftype, dict):
+        count, item = src.fresh("count"), src.fresh("item")
+        _emit_long(src, count, depth)
+        is_array = "array" in ftype
+        emit(depth, f"{var} = {'[]' if is_array else '{}'}")
+        emit(depth, f"for _ in range({count}):")
+        if is_array:
+            _emit_decode(src, ftype["array"], item, depth + 1)
+            emit(depth + 1, f"{var}.append({item})")
+        else:
+            key = src.fresh("key")
+            _emit_decode(src, "string", key, depth + 1)
+            _emit_decode(src, ftype["map"], item, depth + 1)
+            emit(depth + 1, f"{var}[{key}] = {item}")
+    elif ftype == "null":
+        emit(depth, f"{var} = None")
+    elif ftype == "boolean":
+        emit(depth, f"{var} = data[pos] != 0")
+        emit(depth, "pos += 1")
+    elif ftype in ("int", "long"):
+        _emit_long(src, var, depth)
+    elif ftype in ("float", "double"):
+        emit(depth, f"{var}, = unpack_{ftype}(data, pos)")
+        emit(depth, f"pos += {4 if ftype == 'float' else 8}")
+    elif ftype == "any":
+        emit(depth, f"{var}, pos = decode_any(data, pos)")
+    else:
+        length = src.fresh("length")
+        _emit_long(src, length, depth)
+        emit(depth, f"end = pos + {length}")
+        emit(depth, f"if {length} < 0 or end > size:")
+        emit(depth + 1, f"raise SerializationError('truncated {ftype}')")
+        emit(depth, f"{var} = data[pos:end]"
+                    + (".decode()" if ftype == "string" else ""))
+        emit(depth, "pos = end")
+
+
+def _compile_encoder(schema: RecordSchema):
+    src = _Source()
+    paths = src.bind([f"{schema.name}.{f.name}" for f in schema.fields])
+    emit = src.emit
+    emit(0, "def codec(record):")
+    for index, field in enumerate(schema.fields):
+        name = src.bind(field.name)
+        emit(1, f"if {name} in record:")
+        emit(2, f"v{index} = record[{name}]")
+        emit(1, "else:")
+        if field.has_default:
+            emit(2, f"v{index} = {src.bind(field.default)}")
+        elif isinstance(field.type, list):
+            emit(2, f"v{index} = None")
+        else:
+            emit(2, "raise SerializationError("
+                    f"'record missing required field ' + {paths}[{index}])")
+    emit(1, "out = bytearray()")
+    emit(1, "at = 0")
+    emit(1, "try:")
+    if not schema.fields:
+        emit(2, "pass")
+    for index, field in enumerate(schema.fields):
+        emit(2, f"at = {index}")
+        _emit_encode(src, field.type, f"v{index}", 2)
+    emit(1, "except (SerializationError, TypeError, ValueError, "
+            "OverflowError, struct_error) as exc:")
+    emit(2, f"raise SerializationError(f'{{{paths}[at]}}: {{exc}}') "
+            "from exc")
+    emit(1, "return bytes(out)")
+    return src.build(f"encode {schema.name} v{schema.version}")
+
+
+def _emit_decode_fields(src: _Source, schema: RecordSchema) -> None:
+    """The shared prologue of a decoder: each writer field into ``v<i>``."""
+    emit = src.emit
+    emit(0, "def codec(data):")
+    emit(1, "if type(data) is not bytes:")
+    emit(2, "data = bytes(data)")
+    emit(1, "size = len(data)")
+    emit(1, "pos = 0")
+    emit(1, "try:")
+    if not schema.fields:
+        emit(2, "pass")
+    for index, field in enumerate(schema.fields):
+        _emit_decode(src, field.type, f"v{index}", 2)
+    emit(1, "except (IndexError, struct_error):")
+    emit(2, "raise SerializationError("
+            f"{src.bind(f'truncated {schema.name} record')}) from None")
+    emit(1, "except UnicodeDecodeError as exc:")
+    emit(2, "raise SerializationError(str(exc)) from exc")
+
+
+def _return_dict(src: _Source, pairs: list[tuple[str, str]]) -> None:
+    items = ", ".join(f"{src.bind(name)}: {expr}" for name, expr in pairs)
+    src.emit(1, f"return {{{items}}}")
+
+
+def _compile_decoder(schema: RecordSchema):
+    src = _Source()
+    _emit_decode_fields(src, schema)
+    _return_dict(src, [(f.name, f"v{i}") for i, f in enumerate(schema.fields)])
+    return src.build(f"decode {schema.name} v{schema.version}")
 
 
 def encode_record(schema: RecordSchema, record: dict) -> bytes:
     """Serialize ``record`` (a plain dict) against ``schema``."""
-    buf = io.BytesIO()
-    for field in schema.fields:
-        if field.name in record:
-            value = record[field.name]
-        elif field.has_default:
-            value = field.default
-        elif isinstance(field.type, list):
-            value = None
-        else:
-            raise SerializationError(
-                f"record missing required field {schema.name}.{field.name}")
-        _encode_value(buf, field.type, value, f"{schema.name}.{field.name}")
-    return buf.getvalue()
+    encoder = schema._encoder
+    if encoder is None:
+        encoder = schema._encoder = _compile_encoder(schema)
+    return encoder(record)
 
 
 def decode_record(schema: RecordSchema, data: bytes) -> dict:
     """Deserialize bytes written with the same schema."""
-    buf = io.BytesIO(data)
-    return {f.name: _decode_value(buf, f.type) for f in schema.fields}
+    decoder = schema._decoder
+    if decoder is None:
+        decoder = schema._decoder = _compile_decoder(schema)
+    return decoder(data)
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +593,50 @@ def check_compatible(writer: RecordSchema, reader: RecordSchema) -> None:
                 f"{wfield.type!r} to {rfield.type!r}")
 
 
-def _promote(value: object, writer_type: object, reader_type: object) -> object:
+def _promoter(writer_type: object, reader_type: object):
+    """The function promoting a decoded writer value to the reader's
+    type, or ``None`` where the value is already the reader's."""
     if isinstance(reader_type, list) and not isinstance(writer_type, list):
-        return _promote(value, writer_type, reader_type[1])
+        return _promoter(writer_type, reader_type[1])
     if isinstance(writer_type, str) and isinstance(reader_type, str):
         if writer_type in ("int", "long") and reader_type in ("float", "double"):
-            return float(value)  # type: ignore[arg-type]
+            return float
+        return None
     if isinstance(writer_type, list) and isinstance(reader_type, list):
-        if value is None:
+        inner = _promoter(writer_type[1], reader_type[1])
+        if inner is None:
             return None
-        return _promote(value, writer_type[1], reader_type[1])
+        return lambda value: None if value is None else inner(value)
     if isinstance(writer_type, dict) and isinstance(reader_type, dict):
-        if "array" in writer_type:
-            return [_promote(v, writer_type["array"], reader_type["array"])
-                    for v in value]  # type: ignore[union-attr]
-        if "map" in writer_type:
-            return {k: _promote(v, writer_type["map"], reader_type["map"])
-                    for k, v in value.items()}  # type: ignore[union-attr]
-    return value
+        kind = "array" if "array" in writer_type else "map"
+        inner = _promoter(writer_type[kind], reader_type[kind])
+        if inner is None:
+            return None
+        if kind == "array":
+            return lambda value: [inner(item) for item in value]
+        return lambda value: {key: inner(item) for key, item in value.items()}
+    return None
+
+
+def _compile_resolver(writer: RecordSchema, reader: RecordSchema):
+    src = _Source()
+    _emit_decode_fields(src, writer)
+    position = {f.name: i for i, f in enumerate(writer.fields)}
+    pairs = []
+    for rfield in reader.fields:
+        index = position.get(rfield.name)
+        if index is None:
+            default = rfield.default if rfield.has_default else None
+            pairs.append((rfield.name, src.bind(default)))
+            continue
+        promote = _promoter(writer.fields[index].type, rfield.type)
+        expr = f"v{index}"
+        if promote is not None:
+            expr = f"{src.bind(promote)}({expr})"
+        pairs.append((rfield.name, expr))
+    _return_dict(src, pairs)
+    return src.build(f"resolve {writer.name} v{writer.version} "
+                     f"as v{reader.version}")
 
 
 def decode_with_resolution(writer: RecordSchema, reader: RecordSchema,
@@ -377,22 +646,11 @@ def decode_with_resolution(writer: RecordSchema, reader: RecordSchema,
     Fields the reader dropped are skipped; fields the reader added are
     filled from defaults; numeric promotions are applied.
     """
-    check_compatible(writer, reader)
-    buf = io.BytesIO(data)
-    raw: dict[str, object] = {}
-    for wfield in writer.fields:
-        value = _decode_value(buf, wfield.type)
-        raw[wfield.name] = value
-    out: dict[str, object] = {}
-    for rfield in reader.fields:
-        if rfield.name in raw:
-            wfield = writer.field(rfield.name)
-            out[rfield.name] = _promote(raw[rfield.name], wfield.type, rfield.type)
-        elif rfield.has_default:
-            out[rfield.name] = rfield.default
-        else:
-            out[rfield.name] = None
-    return out
+    resolver = writer._resolvers.get(reader)
+    if resolver is None:
+        check_compatible(writer, reader)
+        resolver = writer._resolvers[reader] = _compile_resolver(writer, reader)
+    return resolver(data)
 
 
 class SchemaRegistry:

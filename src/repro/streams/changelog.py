@@ -24,9 +24,15 @@ of one per mutation — the group-commit shape ROADMAP item 1 asks for.
 
 from __future__ import annotations
 
-import json
+import json  # unused; perfbench --trace 1 wraps json.dumps/loads here by name
 
 from repro.common.errors import ConfigurationError
+from repro.common.serialization import (
+    Field,
+    RecordSchema,
+    decode_record,
+    encode_record,
+)
 from repro.kafka.broker import KafkaCluster
 from repro.kafka.message import Message, MessageSet, iter_messages
 
@@ -36,14 +42,21 @@ def changelog_topic(job: str, store: str) -> str:
     return f"__changelog-{job}-{store}"
 
 
+#: One changelog (and snapshot) entry: a key and its absolute new value,
+#: where a null ``v`` is the tombstone.
+MUTATION = RecordSchema("ChangelogMutation", [
+    Field("k", "string"),
+    Field("v", "any"),
+])
+
+
 def encode_mutation(key: str, value: object | None) -> bytes:
     """One changelog record; ``value=None`` encodes a tombstone."""
-    return json.dumps({"k": key, "v": value}, sort_keys=True,
-                      separators=(",", ":")).encode()
+    return encode_record(MUTATION, {"k": key, "v": value})
 
 
 def decode_mutation(payload: bytes) -> tuple[str, object | None]:
-    record = json.loads(payload)
+    record = decode_record(MUTATION, payload)
     return record["k"], record["v"]
 
 

@@ -15,7 +15,9 @@ Samza's state story (SNIPPETS.md §8) is reproduced structurally:
   and replays the changelog *suffix* from the snapshot's offset — the
   log+snapshot bootstrap shape Databus already uses (DESIGN.md §9).
 
-Values are JSON-serializable objects; keys are strings.  Mutations are
+Values are what the ``any`` type of :mod:`repro.common.serialization`
+encodes — None, bool, 64-bit int, float, str, and lists and
+``str``-keyed dicts of them; keys are strings.  Mutations are
 **idempotent upserts**: a changelog record carries the absolute new
 value (or a tombstone), never a delta, so replaying a record twice is
 harmless — the property the at-least-once recovery contract leans on.

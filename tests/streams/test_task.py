@@ -127,6 +127,23 @@ def test_kill_before_commit_loses_nothing_durable():
     assert successor.stores["counts"].get("a") == 3
 
 
+def test_one_poll_reads_across_segment_rolls():
+    """A fetch stops at a segment boundary; one poll must still handle
+    every flushed record, and must not pay an empty fetch to learn the
+    input is drained."""
+    world = World(segment_bytes=128)
+    world.cluster.create_topic("__changelog-job-counts", partitions=1)
+    task = world.open_task(count_stage())
+    for batch in range(4):            # one flush each: a roll per batch
+        world.produce("in", [(f"k{batch}-{i}", 1) for i in range(3)])
+    log = world.cluster.broker_for("in", 0).log("in", 0)
+    assert len(log.segment_base_offsets()) == 4
+    assert task.poll() == 12
+    assert len(task.stores["counts"]) == 12
+    assert task._consumer.fetch_requests == 4     # one per segment
+    assert task.lag() == 0
+
+
 def test_moved_task_rebuilds_from_compacted_changelog_alone():
     """The snapshot-barrier contract: after compaction, a node with NO
     local snapshot still recovers full state, because the compaction
